@@ -105,42 +105,43 @@ func newBPORState() *bporState {
 }
 
 // register records key (if absent) and reports its registration order.
-func (b *bporState) register(key string) (seq uint64, isNew bool) {
+// Probing with seen[string(key)] does not allocate; only an insertion
+// copies the key into a string.
+func (b *bporState) register(key []byte) (seq uint64, isNew bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if r, ok := b.seen[key]; ok {
+	if r, ok := b.seen[string(key)]; ok {
 		return r.Seq, false
 	}
 	b.seq++
-	b.seen[key] = bporSeen{Seq: b.seq}
+	b.seen[string(key)] = bporSeen{Seq: b.seq}
 	return b.seq, true
 }
 
 // markScanned records that key's backtracking scan is about to run and
-// reports whether this call claimed it (false if already scanned). The key
-// is registered if it was not yet.
-func (b *bporState) markScanned(key string) (seq uint64, claimed bool) {
+// reports whether this call claimed it (false if already scanned, which
+// leaves the entry untouched). The key is registered if it was not yet.
+func (b *bporState) markScanned(key []byte) (seq uint64, claimed bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	r, ok := b.seen[key]
-	if !ok {
-		b.seq++
-		r = bporSeen{Seq: b.seq}
-	}
+	r, ok := b.seen[string(key)]
 	if r.Scanned {
-		b.seen[key] = r
 		return r.Seq, false
 	}
+	if !ok {
+		b.seq++
+		r.Seq = b.seq
+	}
 	r.Scanned = true
-	b.seen[key] = r
+	b.seen[string(key)] = r
 	return r.Seq, true
 }
 
 // lookup returns key's registration order, if registered.
-func (b *bporState) lookup(key string) (uint64, bool) {
+func (b *bporState) lookup(key []byte) (uint64, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	r, ok := b.seen[key]
+	r, ok := b.seen[string(key)]
 	return r.Seq, ok
 }
 
@@ -317,83 +318,130 @@ type bporPoint struct {
 	// when the work-item cache is on; emissions consult Cache.TryTakeAt
 	// with it).
 	state uint64
-	// enabled/ops copy the point's enabled set and pending operations.
-	enabled []sched.TID
-	ops     []sched.Op
+	// qstart is the index of the first point of this point's quantum (the
+	// maximal run of points choosing the same thread that ends here): the
+	// prior context switch, where a backtracking point here gets its
+	// conservative companion.
+	qstart int
+	// prevOnVar is the index of the latest earlier point whose chosenOp
+	// accesses the same variable, -1 if none. Operations on distinct
+	// variables never conflict, so the backtracking scan walks only this
+	// chain.
+	prevOnVar int
+	// off and n locate the point's enabled set, and its queued flags, in
+	// the execution's flat buffers: positions [off, off+n).
+	off, n int
 }
 
-func (p *bporPoint) isEnabled(t sched.TID) bool {
-	return p.enabledPos(t) >= 0
+// bporSleeper is one sleeping thread with its pending operation at the
+// time it was put to sleep; an executed conflicting operation wakes it.
+type bporSleeper struct {
+	t  sched.TID
+	op sched.Op
 }
 
-// enabledPos returns t's index in the point's enabled set, -1 if absent.
-func (p *bporPoint) enabledPos(t sched.TID) int {
-	for i, u := range p.enabled {
-		if u == t {
-			return i
-		}
-	}
-	return -1
-}
-
-// bporExec is the per-execution state of the reduction, owned by one
-// icbController.
+// bporExec is the per-execution state of the reduction. Each engine owns
+// one and resets it for every execution it runs (see Engine.bporExec), so
+// its buffers are allocated once per engine, not once per execution.
 type bporExec struct {
 	st    *bporState
 	bound int
-	// sleep maps each sleeping thread to its pending operation at the time
-	// it was put to sleep; an executed conflicting operation wakes it.
-	sleep map[sched.TID]sched.Op
+	// sleep is the sleep set; thread counts are small, so a slice beats a
+	// map.
+	sleep []bporSleeper
 	// points records every thread-scheduling point of the execution so far
 	// (replayed and extended), in order.
 	points []bporPoint
+	// enabled holds every point's enabled set back to back; queued flags
+	// the buffered backtracking emissions "schedule enabled[i] at its
+	// point", one flag per enabled position, until the flush at the end of
+	// the execution (see bporFlush). anyQueued reports a raised flag.
+	enabled   []sched.TID
+	queued    []bool
+	anyQueued bool
+	// lastOnVar maps VarID+1 to one more than the index of the latest
+	// recorded point accessing that variable (0: none), the head of the
+	// per-variable chain through bporPoint.prevOnVar.
+	lastOnVar []int
 	// keyBuf is the incremental registration-key prefix of the current
 	// decision sequence (" t0 t1 d0 ..."); a point's prefix is keyBuf up to
 	// its keyLen.
 	keyBuf  []byte
 	scratch []byte
-	// pending buffers the backtracking scans' (point, thread) emissions
-	// until the execution ends; the flush sorts them into the order plain
-	// ICB would have pushed the same seeds (see bporFlush).
-	pending []bporPending
 }
 
-// bporPending is one buffered backtracking emission: schedule thread t at
-// recorded point j.
-type bporPending struct {
-	j int
-	t sched.TID
+// reset prepares x for a new execution at the given bound, keeping every
+// buffer's capacity.
+func (x *bporExec) reset(bound int) {
+	x.bound = bound
+	x.sleep = x.sleep[:0]
+	x.points = x.points[:0]
+	x.enabled = x.enabled[:0]
+	x.queued = x.queued[:0]
+	x.anyQueued = false
+	clear(x.lastOnVar)
+	x.keyBuf = x.keyBuf[:0]
 }
 
-func newBPORExec(st *bporState, bound int) *bporExec {
-	return &bporExec{st: st, bound: bound, sleep: make(map[sched.TID]sched.Op)}
+// key returns the registration key of decision d at the current prefix,
+// built in place past keyBuf's end. The result is valid until the next key
+// or note call.
+func (x *bporExec) key(d sched.Decision) []byte {
+	n := len(x.keyBuf)
+	k := d.Append(append(x.keyBuf, '|'))
+	x.keyBuf = k[:n]
+	return k
 }
 
-// key builds the registration key of (prefix up to keyLen, decision d).
-func (x *bporExec) key(keyLen int, d sched.Decision) string {
-	x.scratch = append(x.scratch[:0], x.keyBuf[:keyLen]...)
-	x.scratch = append(x.scratch, '|')
-	x.scratch = append(x.scratch, d.String()...)
-	return string(x.scratch)
+// keyAt returns the registration key of decision d at the recorded prefix
+// of length keyLen, valid until the next keyAt call.
+func (x *bporExec) keyAt(keyLen int, d sched.Decision) []byte {
+	x.scratch = append(append(x.scratch[:0], x.keyBuf[:keyLen]...), '|')
+	x.scratch = d.Append(x.scratch)
+	return x.scratch
 }
 
 // note extends the key prefix with a taken decision; callers invoke it for
 // every decision appended to the controller's cur, thread and data alike,
 // keeping keyBuf aligned with the decision sequence.
 func (x *bporExec) note(d sched.Decision) {
-	x.keyBuf = append(x.keyBuf, ' ')
-	x.keyBuf = append(x.keyBuf, d.String()...)
+	x.keyBuf = d.Append(append(x.keyBuf, ' '))
 }
 
 // asleep reports whether t is sleeping.
 func (x *bporExec) asleep(t sched.TID) bool {
-	_, ok := x.sleep[t]
-	return ok
+	for _, s := range x.sleep {
+		if s.t == t {
+			return true
+		}
+	}
+	return false
+}
+
+// putToSleep puts t to sleep with pending operation op (replacing the
+// operation if t already sleeps).
+func (x *bporExec) putToSleep(t sched.TID, op sched.Op) {
+	for i := range x.sleep {
+		if x.sleep[i].t == t {
+			x.sleep[i].op = op
+			return
+		}
+	}
+	x.sleep = append(x.sleep, bporSleeper{t: t, op: op})
 }
 
 // record appends the current scheduling point (called after the scan, so
 // the scan only sees strictly earlier points).
 func (x *bporExec) record(info sched.PickInfo, chosen sched.TID, o sched.Op, curLen, preempts int, state uint64) {
+	j := len(x.points)
+	qstart := j
+	if j > 0 && x.points[j-1].chosen == chosen {
+		qstart = x.points[j-1].qstart
+	}
+	v := int(o.Var) + 1
+	if v >= len(x.lastOnVar) {
+		x.lastOnVar = append(x.lastOnVar, make([]int, v+1-len(x.lastOnVar))...)
+	}
 	x.points = append(x.points, bporPoint{
 		curLen:      curLen,
 		keyLen:      len(x.keyBuf),
@@ -403,9 +451,14 @@ func (x *bporExec) record(info sched.PickInfo, chosen sched.TID, o sched.Op, cur
 		prevEnabled: info.PrevEnabled,
 		preempts:    preempts,
 		state:       state,
-		enabled:     append([]sched.TID(nil), info.Enabled...),
-		ops:         append([]sched.Op(nil), info.Ops...),
+		qstart:      qstart,
+		prevOnVar:   x.lastOnVar[v] - 1,
+		off:         len(x.enabled),
+		n:           len(info.Enabled),
 	})
+	x.lastOnVar[v] = j + 1
+	x.enabled = append(x.enabled, info.Enabled...)
+	x.queued = append(x.queued, make([]bool, len(info.Enabled))...)
 }
 
 // afterChoice updates the sleep set for an executed operation: the chosen
@@ -413,11 +466,30 @@ func (x *bporExec) record(info sched.PickInfo, chosen sched.TID, o sched.Op, cur
 // operation conflicts with the executed one wakes (the reordering against
 // it is a genuinely different trace again).
 func (x *bporExec) afterChoice(chosen sched.TID, o sched.Op) {
-	delete(x.sleep, chosen)
-	for u, uo := range x.sleep {
-		if uo.Conflicts(o) {
-			delete(x.sleep, u)
+	keep := x.sleep[:0]
+	for _, s := range x.sleep {
+		if s.t != chosen && !s.op.Conflicts(o) {
+			keep = append(keep, s)
 		}
+	}
+	x.sleep = keep
+}
+
+// queue buffers the emission at flat enabled position i for the
+// end-of-execution flush. Buffering exists purely for ordering: a scan
+// discovers backtrack points grouped by the later conflicting step, but
+// plain ICB pushes seeds in path order, and draining the next bound in a
+// different order can displace a first sighting to a later execution.
+func (x *bporExec) queue(i int) {
+	x.queued[i] = true
+	x.anyQueued = true
+}
+
+// queueAll buffers the emission of every thread enabled at point j.
+func (x *bporExec) queueAll(j int) {
+	pt := &x.points[j]
+	for i := pt.off; i < pt.off+pt.n; i++ {
+		x.queue(i)
 	}
 }
 
@@ -435,40 +507,49 @@ func (c *icbController) stateFP() uint64 {
 	return c.cache.fp.Fingerprint()
 }
 
-// bporQueue buffers the emission "schedule t at recorded point j" for the
-// end-of-execution flush. Buffering exists purely for ordering: a scan
-// discovers backtrack points grouped by the later conflicting step, but
-// plain ICB pushes seeds in path order, and draining the next bound in a
-// different order can displace a first sighting to a later execution.
-func (c *icbController) bporQueue(j int, t sched.TID) {
-	x := c.bpor
-	x.pending = append(x.pending, bporPending{j: j, t: t})
+// bporFinish is the reduction's end-of-execution step for every execution
+// that ran, whether or not the search stops right after it: the
+// truncated-execution fallback for an aborted run, then the flush. The
+// stack drain, the parallel workers and both their stop paths share it, so
+// a checkpoint taken at a stop holds the frontier the uninterrupted search
+// would have drained.
+func (c *icbController) bporFinish(status sched.Status) {
+	switch status {
+	case sched.StatusAssertFailed, sched.StatusPanic, sched.StatusStepLimit:
+		// The execution was truncated before the surviving threads'
+		// remaining steps could run their backtracking scans; fall back to
+		// blind branching along it (see bporExpandTruncated).
+		c.bporExpandTruncated()
+	}
+	c.bporFlush()
 }
 
-// bporFlush emits the execution's buffered backtracking items, sorted by
-// (point index, position in the point's enabled set) — exactly the order
-// plain ICB pushes the same seeds while walking the path. With the queue
-// a subsequence of the unreduced one in matching order, a bug's exposing
-// item can only move forward, which is what the "BPOR finds the first bug
-// with no more executions" pin tests rely on. Registration also happens
-// here, not at queue time, so it cannot reorder against the free-point
-// sibling pushes that happen live during the execution.
+// bporFlush emits the execution's buffered backtracking items in (point
+// index, position in the point's enabled set) order — exactly the order
+// plain ICB pushes the same seeds while walking the path — by walking the
+// points in order and each point's queued flags in order. A flag raised
+// several times is one emission: once the first registers the item, a
+// repeat would find its key and do nothing. With the queue a subsequence
+// of the unreduced one in matching order, a bug's exposing item can only
+// move forward, which is what the "BPOR finds the first bug with no more
+// executions" pin tests rely on. Registration also happens here, not at
+// queue time, so it cannot reorder against the free-point sibling pushes
+// that happen live during the execution.
 func (c *icbController) bporFlush() {
 	x := c.bpor
-	if len(x.pending) == 0 {
+	if !x.anyQueued {
 		return
 	}
-	sort.SliceStable(x.pending, func(a, b int) bool {
-		pa, pb := x.pending[a], x.pending[b]
-		if pa.j != pb.j {
-			return pa.j < pb.j
+	for j := range x.points {
+		pt := &x.points[j]
+		for i := pt.off; i < pt.off+pt.n; i++ {
+			if x.queued[i] {
+				x.queued[i] = false
+				c.bporEmitAt(pt, x.enabled[i])
+			}
 		}
-		return x.points[pa.j].enabledPos(pa.t) < x.points[pb.j].enabledPos(pb.t)
-	})
-	for _, pe := range x.pending {
-		c.bporEmitAt(&x.points[pe.j], pe.t)
 	}
-	x.pending = x.pending[:0]
+	x.anyQueued = false
 }
 
 // bporEmitAt emits the work item "schedule t at recorded point pt" unless
@@ -490,7 +571,7 @@ func (c *icbController) bporEmitAt(pt *bporPoint, t sched.TID) {
 		// stays within its bound, kept as a guard.
 		return
 	}
-	if _, isNew := x.st.register(x.key(pt.keyLen, sched.ThreadDecision(t))); !isNew {
+	if _, isNew := x.st.register(x.keyAt(pt.keyLen, sched.ThreadDecision(t))); !isNew {
 		return
 	}
 	if c.cache != nil && !c.cache.TryTakeAt(pt.state, sched.ThreadDecision(t), cost) {
@@ -507,41 +588,44 @@ func (c *icbController) bporEmitAt(pt *bporPoint, t sched.TID) {
 
 // bporBacktrack runs the backtracking scan for a first-executed decision:
 // thread p is about to execute operation o, so for every recorded earlier
-// step by another thread whose operation conflicts with o, emit the
-// reordering at that point (p if enabled there, else every enabled thread
-// — the classical fallback when the racer cannot be scheduled directly),
-// plus the conservative point preemption bounding requires: every enabled
-// thread at the prior context switch (the first point of the conflicting
-// step's quantum), where the minimal representative of the reversed trace
-// may need to preempt instead.
+// step by another thread whose operation conflicts with o — only steps on
+// o's variable can — queue the reordering at that point (p if enabled
+// there, else every enabled thread: the classical fallback when the racer
+// cannot be scheduled directly), plus the conservative point preemption
+// bounding requires: every enabled thread at the prior context switch (the
+// first point of the conflicting step's quantum), where the minimal
+// representative of the reversed trace may need to start its switch
+// instead of preempting here. The flush orders what the scan queues, so
+// walking the chain newest-first is fine.
 func (c *icbController) bporBacktrack(p sched.TID, o sched.Op) {
 	x := c.bpor
-	for j := 0; j < len(x.points); j++ {
+	v := int(o.Var) + 1
+	if v >= len(x.lastOnVar) {
+		return
+	}
+	for j := x.lastOnVar[v] - 1; j >= 0; j = x.points[j].prevOnVar {
 		pt := &x.points[j]
 		if pt.chosen == p || !pt.chosenOp.Conflicts(o) {
 			continue
 		}
-		if pt.isEnabled(p) {
-			c.bporQueue(j, p)
+		if i := x.posOf(pt, p); i >= 0 {
+			x.queue(i)
 		} else {
-			// Classical fallback: the racer cannot be scheduled directly
-			// at the conflicting step, so branch over everything enabled.
-			for _, u := range pt.enabled {
-				c.bporQueue(j, u)
-			}
+			x.queueAll(j)
 		}
-		// Conservative point preemption bounding requires: the minimal
-		// representative of the reversed trace may need to start its
-		// switch at the prior context switch (the first point of the
-		// conflicting step's quantum) instead of preempting here.
-		cs := j
-		for cs > 0 && x.points[cs-1].chosen == pt.chosen {
-			cs--
-		}
-		for _, u := range x.points[cs].enabled {
-			c.bporQueue(cs, u)
+		x.queueAll(pt.qstart)
+	}
+}
+
+// posOf returns t's flat enabled position at pt, -1 if t is not enabled
+// there.
+func (x *bporExec) posOf(pt *bporPoint, t sched.TID) int {
+	for i := pt.off; i < pt.off+pt.n; i++ {
+		if x.enabled[i] == t {
+			return i
 		}
 	}
+	return -1
 }
 
 // bporExpandTruncated blind-expands every recorded scheduling point of a
@@ -557,11 +641,11 @@ func (c *icbController) bporBacktrack(p sched.TID, o sched.Op) {
 // while keeping the reduction's savings on the completing majority.
 func (c *icbController) bporExpandTruncated() {
 	x := c.bpor
-	for i := range x.points {
-		pt := &x.points[i]
-		for _, u := range pt.enabled {
-			if u != pt.chosen {
-				c.bporQueue(i, u)
+	for j := range x.points {
+		pt := &x.points[j]
+		for i := pt.off; i < pt.off+pt.n; i++ {
+			if x.enabled[i] != pt.chosen {
+				x.queue(i)
 			}
 		}
 	}
@@ -576,13 +660,13 @@ func (c *icbController) bporExpandTruncated() {
 func (c *icbController) bporReplayThread(info sched.PickInfo, chosen sched.TID) {
 	x := c.bpor
 	o := pendingOp(info, chosen)
-	seqTaken, claimed := x.st.markScanned(x.key(len(x.keyBuf), sched.ThreadDecision(chosen)))
+	seqTaken, claimed := x.st.markScanned(x.key(sched.ThreadDecision(chosen)))
 	for i, u := range info.Enabled {
 		if u == chosen {
 			continue
 		}
-		if s, ok := x.st.lookup(x.key(len(x.keyBuf), sched.ThreadDecision(u))); ok && s < seqTaken {
-			x.sleep[u] = info.Ops[i]
+		if s, ok := x.st.lookup(x.key(sched.ThreadDecision(u))); ok && s < seqTaken {
+			x.putToSleep(u, info.Ops[i])
 		}
 	}
 	if claimed {
@@ -606,7 +690,7 @@ func (c *icbController) bporExtendThread(info sched.PickInfo) (sched.TID, bool) 
 		// matter, with their conservative companions.
 		pick := info.Prev
 		o := pendingOp(info, pick)
-		_, claimed := x.st.markScanned(x.key(len(x.keyBuf), sched.ThreadDecision(pick)))
+		_, claimed := x.st.markScanned(x.key(sched.ThreadDecision(pick)))
 		if !c.take(sched.ThreadDecision(pick), c.preempts) {
 			return sched.NoTID, false
 		}
@@ -643,12 +727,12 @@ func (c *icbController) bporExtendThread(info sched.PickInfo) (sched.TID, bool) 
 		pick = info.Enabled[0]
 	}
 	o := pendingOp(info, pick)
-	seqTaken, claimed := x.st.markScanned(x.key(len(x.keyBuf), sched.ThreadDecision(pick)))
+	seqTaken, claimed := x.st.markScanned(x.key(sched.ThreadDecision(pick)))
 	if !c.take(sched.ThreadDecision(pick), c.preempts) {
 		return sched.NoTID, false
 	}
 	suppressed := 0
-	for _, u := range info.Enabled {
+	for i, u := range info.Enabled {
 		if u == pick {
 			continue
 		}
@@ -656,13 +740,12 @@ func (c *icbController) bporExtendThread(info sched.PickInfo) (sched.TID, bool) 
 			suppressed++
 			continue
 		}
-		key := x.key(len(x.keyBuf), sched.ThreadDecision(u))
-		if s, isNew := x.st.register(key); !isNew {
+		if s, isNew := x.st.register(x.key(sched.ThreadDecision(u))); !isNew {
 			// Already taken or enqueued elsewhere in the search; siblings
 			// registered before the pick sleep in its subtree like they
 			// would during replay.
 			if s < seqTaken {
-				x.sleep[u] = pendingOp(info, u)
+				x.putToSleep(u, info.Ops[i])
 			}
 			continue
 		}

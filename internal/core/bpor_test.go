@@ -1,9 +1,16 @@
 package core_test
 
 import (
+	"encoding/json"
 	"testing"
 
 	"icb/internal/core"
+	"icb/internal/progs"
+	"icb/internal/progs/ape"
+	"icb/internal/progs/bluetooth"
+	"icb/internal/progs/dryad"
+	"icb/internal/progs/fsmodel"
+	"icb/internal/progs/wsq"
 	"icb/internal/sched"
 )
 
@@ -139,6 +146,148 @@ func TestBPORResumeRejectsMixing(t *testing.T) {
 	}
 	if err := core.ValidateResume(st, core.Options{BPOR: true}); err != nil {
 		t.Errorf("matching BPOR snapshot rejected: %v", err)
+	}
+}
+
+// TestBPORPinsReducedSearch pins the reduced search itself, not just its
+// guarantees: the five correct benchmarks, uncached with races checked, at
+// the bounds the drain-bpor benchmark workload exhausts, must run exactly
+// these executions and reach exactly these states, classes and pruning
+// counts. CompareBPOR only catches growth; this also catches a reordered,
+// dropped or duplicated backtracking emission, which shifts the counts.
+func TestBPORPinsReducedSearch(t *testing.T) {
+	for _, tc := range []struct {
+		bench                               *progs.Benchmark
+		bound                               int
+		executions, states, classes, pruned int
+	}{
+		{bluetooth.Benchmark(), 2, 1319, 8488, 362, 2322},
+		{fsmodel.Benchmark(), 2, 854, 820, 4, 3030},
+		{wsq.Benchmark(), 2, 336, 7792, 199, 325},
+		{ape.Benchmark(), 2, 515, 3116, 64, 793},
+		{dryad.Benchmark(), 0, 268, 1110, 12, 1188},
+	} {
+		res := core.Explore(tc.bench.Correct, core.ICB{}, core.Options{
+			MaxPreemptions: tc.bound,
+			CheckRaces:     true,
+			BPOR:           true,
+		})
+		if res.Executions != tc.executions || res.States != tc.states ||
+			res.ExecutionClasses != tc.classes || res.BPORPruned != int64(tc.pruned) {
+			t.Errorf("%s bound %d: executions/states/classes/pruned = %d/%d/%d/%d, want %d/%d/%d/%d",
+				tc.bench.Name, tc.bound, res.Executions, res.States, res.ExecutionClasses, res.BPORPruned,
+				tc.executions, tc.states, tc.classes, tc.pruned)
+		}
+		if res.BoundCompleted != tc.bound || len(res.Bugs) != 0 {
+			t.Errorf("%s: completed bound %d with %d bugs, want bound %d and none",
+				tc.bench.Name, res.BoundCompleted, len(res.Bugs), tc.bound)
+		}
+	}
+}
+
+// finalSnap keeps the last final snapshot a search captures, JSON
+// round-tripped like a checkpoint file.
+type finalSnap struct{ js []byte }
+
+func (f *finalSnap) Due() bool { return false }
+
+func (f *finalSnap) Capture(st *core.SearchState, final bool) {
+	if !final {
+		return
+	}
+	js, err := json.Marshal(st)
+	if err != nil {
+		panic(err)
+	}
+	f.js = js
+}
+
+// abortedExecs records which executions of a search aborted (assertion
+// failure, panic or step limit).
+type abortedExecs struct{ at map[int]bool }
+
+func (a *abortedExecs) ObserveOutcome(execution int, out sched.Outcome) {
+	switch out.Status {
+	case sched.StatusAssertFailed, sched.StatusPanic, sched.StatusStepLimit:
+		a.at[execution] = true
+	}
+}
+
+// TestBPORStopResumeExact stops a reduced search by execution budget and
+// resumes it from the stop snapshot: the two lives together must run
+// exactly the uninterrupted search. The stops land right after each
+// aborted execution of the Bluetooth stop-window variant at bound 1 (its
+// assertion fails along many interleavings), the case where the snapshot
+// must keep the aborted execution's blind-expansion items (see
+// bporExpandTruncated), and after every 10th execution besides.
+func TestBPORStopResumeExact(t *testing.T) {
+	prog := bluetooth.Benchmark().FindBug("stop-window").Program
+	for _, cache := range []bool{false, true} {
+		opt := core.Options{MaxPreemptions: 1, CheckRaces: true, BPOR: true, StateCache: cache}
+		aborted := &abortedExecs{at: map[int]bool{}}
+		traced := opt
+		traced.TraceObserver = aborted
+		ref := core.Explore(prog, core.ICB{}, traced)
+		if ref.BoundCompleted != 1 || len(aborted.at) == 0 {
+			t.Fatalf("cache=%v: reference completed bound %d with %d aborted executions",
+				cache, ref.BoundCompleted, len(aborted.at))
+		}
+		for n := 1; n < ref.Executions; n++ {
+			if !aborted.at[n] && n%10 != 0 {
+				continue
+			}
+			snap := &finalSnap{}
+			stopped := opt
+			stopped.MaxExecutions = n
+			stopped.Checkpoint = snap
+			core.Explore(prog, core.ICB{}, stopped)
+			var st core.SearchState
+			if err := json.Unmarshal(snap.js, &st); err != nil {
+				t.Fatalf("cache=%v, stop at %d: snapshot does not round-trip: %v", cache, n, err)
+			}
+			resumed := opt
+			resumed.Resume = &st
+			got := core.Explore(prog, core.ICB{}, resumed)
+			if got.Executions != ref.Executions || got.ExecutionClasses != ref.ExecutionClasses ||
+				got.States != ref.States || got.BPORPruned != ref.BPORPruned ||
+				got.BoundCompleted != ref.BoundCompleted {
+				t.Fatalf("cache=%v, stop at %d: resumed executions/classes/states/pruned/bound = %d/%d/%d/%d/%d, uninterrupted %d/%d/%d/%d/%d",
+					cache, n, got.Executions, got.ExecutionClasses, got.States, got.BPORPruned, got.BoundCompleted,
+					ref.Executions, ref.ExecutionClasses, ref.States, ref.BPORPruned, ref.BoundCompleted)
+			}
+		}
+	}
+}
+
+// TestBPORParallelStopResume is the work-stealing search's leg of
+// TestBPORStopResumeExact. Which executions run before a stop depends on
+// the worker interleaving, so only the deterministic outputs are compared:
+// a resumed search must still complete the bound with every class and bug
+// of the uninterrupted one.
+func TestBPORParallelStopResume(t *testing.T) {
+	prog := bluetooth.Benchmark().FindBug("stop-window").Program
+	par := core.ParallelICB{Workers: 2}
+	opt := core.Options{MaxPreemptions: 1, CheckRaces: true, BPOR: true}
+	ref := core.Explore(prog, core.ICB{}, opt)
+	for n := 5; n < ref.Executions; n += 5 {
+		snap := &finalSnap{}
+		stopped := opt
+		stopped.MaxExecutions = n
+		stopped.Checkpoint = snap
+		core.Explore(prog, par, stopped)
+		var st core.SearchState
+		if err := json.Unmarshal(snap.js, &st); err != nil {
+			t.Fatalf("stop at %d: snapshot does not round-trip: %v", n, err)
+		}
+		resumed := opt
+		resumed.Resume = &st
+		got := core.Explore(prog, par, resumed)
+		if got.ExecutionClasses != ref.ExecutionClasses || got.BoundCompleted != ref.BoundCompleted ||
+			!equalStrings(bugList(got), bugList(ref)) {
+			t.Fatalf("stop at %d: resumed classes %d, bound %d, bugs %v; uninterrupted %d, %d, %v",
+				n, got.ExecutionClasses, got.BoundCompleted, bugList(got),
+				ref.ExecutionClasses, ref.BoundCompleted, bugList(ref))
+		}
 	}
 }
 

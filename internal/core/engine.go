@@ -45,6 +45,9 @@ type Engine struct {
 	// partial-order reduction (Options.BPOR); shared by every worker engine
 	// of a parallel search like the cache's table.
 	bpor *bporState
+	// bporX is this engine's per-execution reduction state, reset for
+	// every execution so its buffers outlive it (see bporExec).
+	bporX *bporExec
 
 	// Parallel-search plumbing, all nil/negative on a sequential engine so
 	// the hot path pays one nil-check each. stop is the search-wide abort
@@ -177,40 +180,57 @@ func (e *Engine) initExec() {
 		e.observers = append(e.observers, e.det)
 	}
 	if e.prof != nil {
-		// The sampled-execution slice mirrors e.observers member for member,
-		// each wrapped in a timing shim, so a sampled execution observes the
+		// The sampled-execution observer is one timing shim over the members
+		// of e.observers, in order, so a sampled execution observes the
 		// exact same event stream (the shim forwards OnChoice too — dropping
 		// it would change fingerprints and break cache soundness).
-		e.profObservers = append(e.profObservers, &timedObserver{inner: e.fp, ns: &e.fpNS})
+		shim := &timedObservers{inner: []sched.Observer{e.fp}, ns: []*int64{&e.fpNS}}
 		if e.det != nil {
-			e.profObservers = append(e.profObservers, &timedObserver{inner: e.det, ns: &e.raceNS})
+			shim.inner = append(shim.inner, e.det)
+			shim.ns = append(shim.ns, &e.raceNS)
 		}
+		e.profObservers = []sched.Observer{shim}
 	}
 }
 
-// timedObserver forwards every observation to inner, accumulating the time
-// spent inside it into *ns. Installed only on sampled executions, so the
-// two clock readings per event stay off the common path.
-type timedObserver struct {
-	inner sched.Observer
-	ns    *int64
+// timedObservers forwards every observation to each inner observer in
+// order, accumulating the time spent inside inner[i] into *ns[i].
+// Installed only on sampled executions. Clock readings dominate its cost,
+// so they are chained (the reading that ends one observer's span starts
+// the next one's) and monotonic-only: len(inner)+1 readings per event.
+type timedObservers struct {
+	inner []sched.Observer
+	ns    []*int64
 }
+
+// monoEpoch anchors monoNS. time.Since on a reading that carries a
+// monotonic clock reads only the monotonic clock; time.Now also reads the
+// wall clock.
+var monoEpoch = time.Now()
+
+func monoNS() int64 { return int64(time.Since(monoEpoch)) }
 
 // OnEvent implements sched.Observer.
-func (t *timedObserver) OnEvent(ev sched.Event) {
-	t0 := time.Now()
-	t.inner.OnEvent(ev)
-	*t.ns += time.Since(t0).Nanoseconds()
+func (t *timedObservers) OnEvent(ev sched.Event) {
+	t0 := monoNS()
+	for i, o := range t.inner {
+		o.OnEvent(ev)
+		t1 := monoNS()
+		*t.ns[i] += t1 - t0
+		t0 = t1
+	}
 }
 
-// OnChoice implements sched.ChoiceObserver by forwarding when (and only
-// when) the wrapped observer implements it, preserving the inner
-// observer's view of data choices.
-func (t *timedObserver) OnChoice(tid sched.TID, n, v int) {
-	if co, ok := t.inner.(sched.ChoiceObserver); ok {
-		t0 := time.Now()
-		co.OnChoice(tid, n, v)
-		*t.ns += time.Since(t0).Nanoseconds()
+// OnChoice implements sched.ChoiceObserver by forwarding to the inner
+// observers that implement it (and only those), preserving their view of
+// data choices.
+func (t *timedObservers) OnChoice(tid sched.TID, n, v int) {
+	for i, o := range t.inner {
+		if co, ok := o.(sched.ChoiceObserver); ok {
+			t0 := monoNS()
+			co.OnChoice(tid, n, v)
+			*t.ns[i] += monoNS() - t0
+		}
 	}
 }
 
@@ -433,9 +453,16 @@ func (e *Engine) Options() Options { return e.opt }
 // Cache returns the work-item table, or nil when caching is disabled.
 func (e *Engine) Cache() *Cache { return e.cache }
 
-// BPOR returns the search-global partial-order-reduction state, or nil
-// when the reduction is off.
-func (e *Engine) BPOR() *bporState { return e.bpor }
+// bporExec returns the engine's per-execution reduction state, reset for
+// an execution at the given bound. An engine runs one execution at a time,
+// so the previous execution's state is finished with by then.
+func (e *Engine) bporExec(bound int) *bporExec {
+	if e.bporX == nil {
+		e.bporX = &bporExec{st: e.bpor}
+	}
+	e.bporX.reset(bound)
+	return e.bporX
+}
 
 // RunExecution runs one execution of the program under ctrl, records its
 // coverage and statistics, files any bug, and returns the outcome. done

@@ -153,9 +153,9 @@ func searchNoPreempt(e *Engine, start sched.Schedule, bound int, next *[]sched.S
 				stack = append(stack, path)
 			} else if ctrl.bpor != nil {
 				// The execution ran to completion before the stop landed;
-				// flush its buffered backtracking items so the leftover
-				// stack (and any checkpoint built from it) is complete.
-				ctrl.bporFlush()
+				// finish its reduction bookkeeping so the leftover stack
+				// (and any checkpoint built from it) is complete.
+				ctrl.bporFinish(out.Status)
 			}
 			return stack, true
 		}
@@ -180,35 +180,26 @@ func newICBController(e *Engine, path sched.Schedule, bound int, onLocal, onPree
 		onPreempt: onPreempt,
 		onLocal:   onLocal,
 	}
-	if b := e.BPOR(); b != nil {
-		ctrl.bpor = newBPORExec(b, bound)
+	if e.bpor != nil {
+		ctrl.bpor = e.bporExec(bound)
 	}
 	return ctrl
 }
 
 // finishItem applies the post-run bookkeeping one completed (not stopped-
 // before-running) work item needs, shared by the sequential stack drain
-// and the parallel workers: the BPOR truncation fallback and flush, and
-// the preemption-count invariant.
+// and the parallel workers: the BPOR finishing step, and the
+// preemption-count invariant.
 func finishItem(ctrl *icbController, out sched.Outcome, bound int) {
-	if out.Status == sched.StatusStopped {
-		// Cut by the work-item cache: the subtree was already explored,
-		// but the replayed prefix's scans may have queued backtracking
-		// items that are not covered by it.
-		if ctrl.bpor != nil {
-			ctrl.bporFlush()
-		}
-		return
-	}
 	if ctrl.bpor != nil {
-		switch out.Status {
-		case sched.StatusAssertFailed, sched.StatusPanic, sched.StatusStepLimit:
-			// The execution was truncated before the surviving threads'
-			// remaining steps could run their backtracking scans; fall
-			// back to blind branching along it (see bporExpandTruncated).
-			ctrl.bporExpandTruncated()
-		}
-		ctrl.bporFlush()
+		// Even an execution cut by the work-item cache (StatusStopped) has
+		// work here: its subtree was already explored, but the replayed
+		// prefix's scans may have queued backtracking items it does not
+		// cover.
+		ctrl.bporFinish(out.Status)
+	}
+	if out.Status == sched.StatusStopped {
+		return
 	}
 	if out.Preemptions != bound {
 		// Under BPOR a backtracking work item can cost fewer preemptions

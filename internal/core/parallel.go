@@ -544,10 +544,10 @@ func (ps *parSearch) runItem(wi int, we *Engine, item sched.Schedule, b int) {
 		return
 	}
 	if done {
-		// Ran to completion before the stop landed: flush BPOR's buffered
-		// backtracking items so the checkpoint frontier is complete.
+		// Ran to completion before the stop landed: finish BPOR's
+		// bookkeeping so the checkpoint frontier is complete.
 		if ctrl.bpor != nil {
-			ctrl.bporFlush()
+			ctrl.bporFinish(out.Status)
 		}
 	} else {
 		finishItem(ctrl, out, b)

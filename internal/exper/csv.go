@@ -49,9 +49,17 @@ func WriteCSV(dir string, cfg Config) error {
 		return err
 	}
 
-	f1, err := Fig1Data(cfg)
+	// Figure 1 is Figure 4's work-stealing-queue curve (the same sweep of
+	// the same program), so that sweep runs once, for both.
+	f4, err := Fig4Data(cfg)
 	if err != nil {
 		return err
+	}
+	var f1 []BoundPercent
+	for _, s := range f4 {
+		if s.Name == "Work Stealing Queue" {
+			f1 = s.Points
+		}
 	}
 	rows = [][]string{{"bound", "percent", "states"}}
 	for _, p := range f1 {
@@ -71,10 +79,6 @@ func WriteCSV(dir string, cfg Config) error {
 		}
 	}
 
-	f4, err := Fig4Data(cfg)
-	if err != nil {
-		return err
-	}
 	rows = [][]string{{"bound"}}
 	for _, s := range f4 {
 		rows[0] = append(rows[0], s.Name)

@@ -133,6 +133,7 @@ func TestFig4Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweeps take ~40s")
 	}
+	t.Parallel() // see ablate_test.go
 	data, err := Fig4Data(Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -195,38 +196,11 @@ func TestRenderDoesNotCrash(t *testing.T) {
 	}
 }
 
-func TestAblations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("the csb sweep takes minutes")
-	}
-	r, err := AblationData(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 1. Preemption bounding beats pure context-switch bounding by a wide
-	// margin on the Figure 3 bug.
-	if r.CSBBugBound <= r.ICBBugBound {
-		t.Errorf("csb bound %d not worse than icb bound %d", r.CSBBugBound, r.ICBBugBound)
-	}
-	if r.CSBBugExecs < 10*r.ICBBugExecs {
-		t.Errorf("csb executions %d not an order of magnitude above icb's %d", r.CSBBugExecs, r.ICBBugExecs)
-	}
-	// 2. The sync-only reduction explores fewer executions without losing
-	// meaningful coverage.
-	if r.SyncOnlyExecs >= r.EveryAccessExecs {
-		t.Errorf("sync-only %d executions not fewer than every-access %d", r.SyncOnlyExecs, r.EveryAccessExecs)
-	}
-	// 3. The work-item table prunes by orders of magnitude at equal state
-	// coverage.
-	if r.CachedExecs*10 > r.UncachedExecs {
-		t.Errorf("cache pruning weak: %d vs %d", r.CachedExecs, r.UncachedExecs)
-	}
-}
-
 func TestWriteCSV(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates every experiment (~2 min)")
 	}
+	t.Parallel() // see ablate_test.go
 	dir := t.TempDir()
 	if err := WriteCSV(dir, Config{Budget: 200}); err != nil {
 		t.Fatal(err)

@@ -76,6 +76,7 @@ func sightingBounds(res core.Result) []int {
 // sightings released in bound order.
 func TestMulticoreDeterminismSuite(t *testing.T) {
 	requireMulticore(t)
+	t.Parallel() // see ablate_test.go
 	cfg := Config{}
 	for _, b := range Benchmarks() {
 		for i := range b.Bugs {
@@ -134,6 +135,7 @@ func TestMulticoreDeterminismSuite(t *testing.T) {
 // bound guarantee, and bound-ordered sightings.
 func TestMulticoreDeterminismSuiteBPOR(t *testing.T) {
 	requireMulticore(t)
+	t.Parallel() // see ablate_test.go
 	cfg := Config{}
 	for _, b := range Benchmarks() {
 		for i := range b.Bugs {
@@ -173,6 +175,7 @@ func TestMulticoreDeterminismSuiteBPOR(t *testing.T) {
 // even when workers run ahead of the barrier into the bug's bound.
 func TestMulticoreMinimalFirstUnderStop(t *testing.T) {
 	requireMulticore(t)
+	t.Parallel() // see ablate_test.go
 	cfg := Config{}
 	for _, b := range Benchmarks() {
 		for i := range b.Bugs {

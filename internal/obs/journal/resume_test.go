@@ -105,32 +105,55 @@ func TestResumeEveryBoundaryIdentical(t *testing.T) {
 }
 
 // TestResumeEveryBoundaryIdenticalCached repeats the exactness test with
-// the Algorithm 1 work-item table on: the restored table must prune
-// exactly what the uninterrupted run's would have.
+// the Algorithm 1 work-item table on, with bounded partial-order reduction
+// on, and with both: the restored table must prune exactly what the
+// uninterrupted run's would have, and the restored BPOR registration table
+// and counters must reduce exactly as it would have.
 func TestResumeEveryBoundaryIdenticalCached(t *testing.T) {
 	prog := wsqStealUnlocked(t)
 
-	cs := &capSink{}
-	opt := wsqOptions()
-	opt.StateCache = true
-	opt.Checkpoint = cs
-	ref := normalize(core.Explore(prog, core.ICB{}, opt))
+	for _, tc := range []struct {
+		name             string
+		stateCache, bpor bool
+	}{
+		{"cache", true, false},
+		{"bpor", false, true},
+		{"bpor+cache", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			options := func() core.Options {
+				opt := wsqOptions()
+				opt.StateCache = tc.stateCache
+				opt.BPOR = tc.bpor
+				return opt
+			}
+			cs := &capSink{}
+			opt := options()
+			opt.Checkpoint = cs
+			ref := normalize(core.Explore(prog, core.ICB{}, opt))
+			if ref.BPOR != tc.bpor {
+				t.Fatalf("Result.BPOR = %v, want %v", ref.BPOR, tc.bpor)
+			}
 
-	// Every 7th snapshot keeps the cached variant fast while still probing
-	// boundaries across all bounds.
-	for i := 0; i < len(cs.snaps); i += 7 {
-		var st core.SearchState
-		if err := json.Unmarshal(cs.snaps[i], &st); err != nil {
-			t.Fatalf("snapshot %d does not round-trip: %v", i, err)
-		}
-		ropt := wsqOptions()
-		ropt.StateCache = true
-		ropt.Resume = &st
-		got := normalize(core.Explore(prog, core.ICB{}, ropt))
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("cached resume from snapshot %d (bound %d, exec %d) diverged:\n got %+v\nwant %+v",
-				i, st.Bound, st.Result.Executions, got, ref)
-		}
+			// Every 7th snapshot keeps these variants fast while still
+			// probing boundaries across all bounds.
+			for i := 0; i < len(cs.snaps); i += 7 {
+				var st core.SearchState
+				if err := json.Unmarshal(cs.snaps[i], &st); err != nil {
+					t.Fatalf("snapshot %d does not round-trip: %v", i, err)
+				}
+				ropt := options()
+				ropt.Resume = &st
+				if err := core.ValidateResume(&st, ropt); err != nil {
+					t.Fatalf("snapshot %d rejected: %v", i, err)
+				}
+				got := normalize(core.Explore(prog, core.ICB{}, ropt))
+				if !reflect.DeepEqual(got, ref) {
+					t.Fatalf("resume from snapshot %d (bound %d, exec %d) diverged:\n got %+v\nwant %+v",
+						i, st.Bound, st.Result.Executions, got, ref)
+				}
+			}
+		})
 	}
 }
 

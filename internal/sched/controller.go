@@ -85,10 +85,19 @@ func DataDecision(v int) Decision { return Decision{Kind: DecisionData, Data: v}
 
 // String renders the decision compactly ("t3" or "d2").
 func (d Decision) String() string {
+	var buf [12]byte
+	return string(d.Append(buf[:0]))
+}
+
+// Append appends the decision's compact form (its String) to b and returns
+// the extended buffer. It is the one decision formatter: Schedule.String
+// and the partial-order reduction's registration keys build their text
+// with it, allocating only when b must grow.
+func (d Decision) Append(b []byte) []byte {
 	if d.Kind == DecisionThread {
-		return fmt.Sprintf("t%d", d.Thread)
+		return strconv.AppendInt(append(b, 't'), int64(d.Thread), 10)
 	}
-	return fmt.Sprintf("d%d", d.Data)
+	return strconv.AppendInt(append(b, 'd'), int64(d.Data), 10)
 }
 
 // MarshalJSON renders the decision as its compact string form ("t3",
@@ -138,7 +147,7 @@ func (s Schedule) String() string {
 		if i > 0 {
 			b = append(b, ' ')
 		}
-		b = append(b, d.String()...)
+		b = d.Append(b)
 	}
 	return string(b)
 }
