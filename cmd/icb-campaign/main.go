@@ -6,7 +6,7 @@
 // Usage:
 //
 //	icb-campaign list <journal-dir>...
-//	icb-campaign diff [-tolerance 0.05] [-wall-tolerance 0] <journal-dir>
+//	icb-campaign diff [-tolerance 0.05] <journal-dir>
 //	icb-campaign diff <journal-dir> <run-id-old> <run-id-new>
 //	icb-campaign diff -baseline baseline.json <journal-dir>
 //	icb-campaign trend [-json] <journal-dir>...
@@ -88,7 +88,7 @@ func run() int {
 func usage() {
 	fmt.Fprintf(flag.CommandLine.Output(), `usage:
   icb-campaign list <journal-dir>...
-  icb-campaign diff [-tolerance F] [-wall-tolerance F] [-baseline FILE] <journal-dir> [run-old run-new]
+  icb-campaign diff [-tolerance F] [-baseline FILE] <journal-dir> [run-old run-new]
   icb-campaign trend [-json] <journal-dir>...
   icb-campaign serve [-http ADDR] [-peers URL,...] [-journal-dir DIR] [-interval D] [-events FILE]
 
@@ -276,7 +276,6 @@ func short(h string) string {
 func diff(args []string) int {
 	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
 	tol := fs.Float64("tolerance", 0.05, "fractional slack on deterministic metrics before a change counts as a regression")
-	wallTol := fs.Float64("wall-tolerance", 0, "fractional slack on wall-clock metrics (0 = don't gate wall-clock at all)")
 	baseline := fs.String("baseline", "", "compare the newest run against this RunRecord JSON file instead of a prior ledger entry")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -333,7 +332,7 @@ func diff(args []string) int {
 			return 2
 		}
 	}
-	regs, err := journal.Diff(old, cur, *tol, *wallTol)
+	regs, err := journal.Diff(old, cur, *tol)
 	if err != nil {
 		log.Error("diff failed", "err", err)
 		return 2

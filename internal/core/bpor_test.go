@@ -150,37 +150,54 @@ func TestBPORResumeRejectsMixing(t *testing.T) {
 }
 
 // TestBPORPinsReducedSearch pins the reduced search itself, not just its
-// guarantees: the five correct benchmarks, uncached with races checked, at
-// the bounds the drain-bpor benchmark workload exhausts, must run exactly
-// these executions and reach exactly these states, classes and pruning
-// counts. CompareBPOR only catches growth; this also catches a reordered,
+// guarantees, against the plain search it reduces: the five correct
+// benchmarks, uncached with races checked, at the bounds the drain-bpor
+// benchmark workload exhausts, must run exactly these executions and
+// reach exactly these states, classes and pruning counts, with and
+// without the reduction. The reduced search must reach the plain search's
+// classes in no more executions; an exact pin also catches a reordered,
 // dropped or duplicated backtracking emission, which shifts the counts.
 func TestBPORPinsReducedSearch(t *testing.T) {
+	type counts struct{ executions, states, classes int }
 	for _, tc := range []struct {
-		bench                               *progs.Benchmark
-		bound                               int
-		executions, states, classes, pruned int
+		bench       *progs.Benchmark
+		bound       int
+		plain, bpor counts
+		pruned      int64
 	}{
-		{bluetooth.Benchmark(), 2, 1319, 8488, 362, 2322},
-		{fsmodel.Benchmark(), 2, 854, 820, 4, 3030},
-		{wsq.Benchmark(), 2, 336, 7792, 199, 325},
-		{ape.Benchmark(), 2, 515, 3116, 64, 793},
-		{dryad.Benchmark(), 0, 268, 1110, 12, 1188},
+		{bluetooth.Benchmark(), 2, counts{1711, 8579, 362}, counts{1319, 8488, 362}, 2322},
+		{fsmodel.Benchmark(), 2, counts{3735, 1016, 4}, counts{854, 820, 4}, 3030},
+		{wsq.Benchmark(), 2, counts{336, 7792, 199}, counts{336, 7792, 199}, 325},
+		{ape.Benchmark(), 2, counts{631, 3116, 64}, counts{515, 3116, 64}, 793},
+		{dryad.Benchmark(), 0, counts{304, 1126, 12}, counts{268, 1110, 12}, 1188},
 	} {
-		res := core.Explore(tc.bench.Correct, core.ICB{}, core.Options{
-			MaxPreemptions: tc.bound,
-			CheckRaces:     true,
-			BPOR:           true,
-		})
-		if res.Executions != tc.executions || res.States != tc.states ||
-			res.ExecutionClasses != tc.classes || res.BPORPruned != int64(tc.pruned) {
-			t.Errorf("%s bound %d: executions/states/classes/pruned = %d/%d/%d/%d, want %d/%d/%d/%d",
-				tc.bench.Name, tc.bound, res.Executions, res.States, res.ExecutionClasses, res.BPORPruned,
-				tc.executions, tc.states, tc.classes, tc.pruned)
+		opt := core.Options{MaxPreemptions: tc.bound, CheckRaces: true}
+		plain := core.Explore(tc.bench.Correct, core.ICB{}, opt)
+		opt.BPOR = true
+		red := core.Explore(tc.bench.Correct, core.ICB{}, opt)
+		for _, run := range []struct {
+			name string
+			res  core.Result
+			want counts
+		}{{"plain", plain, tc.plain}, {"bpor", red, tc.bpor}} {
+			if got := (counts{run.res.Executions, run.res.States, run.res.ExecutionClasses}); got != run.want {
+				t.Errorf("%s bound %d, %s: executions/states/classes = %d/%d/%d, want %d/%d/%d",
+					tc.bench.Name, tc.bound, run.name, got.executions, got.states, got.classes,
+					run.want.executions, run.want.states, run.want.classes)
+			}
+			if run.res.BoundCompleted != tc.bound || len(run.res.Bugs) != 0 {
+				t.Errorf("%s, %s: completed bound %d with %d bugs, want bound %d and none",
+					tc.bench.Name, run.name, run.res.BoundCompleted, len(run.res.Bugs), tc.bound)
+			}
 		}
-		if res.BoundCompleted != tc.bound || len(res.Bugs) != 0 {
-			t.Errorf("%s: completed bound %d with %d bugs, want bound %d and none",
-				tc.bench.Name, res.BoundCompleted, len(res.Bugs), tc.bound)
+		if !red.BPOR || red.BPORPruned != tc.pruned {
+			t.Errorf("%s bound %d: reduction active %v, pruned %d; want active, pruned %d",
+				tc.bench.Name, tc.bound, red.BPOR, red.BPORPruned, tc.pruned)
+		}
+		if red.ExecutionClasses != plain.ExecutionClasses || red.Executions > plain.Executions {
+			t.Errorf("%s bound %d: reduction reached %d classes in %d executions, plain %d in %d",
+				tc.bench.Name, tc.bound, red.ExecutionClasses, red.Executions,
+				plain.ExecutionClasses, plain.Executions)
 		}
 	}
 }

@@ -6,6 +6,12 @@ import (
 	"icb/internal/baseline"
 	"icb/internal/conc"
 	"icb/internal/core"
+	"icb/internal/progs"
+	"icb/internal/progs/ape"
+	"icb/internal/progs/bluetooth"
+	"icb/internal/progs/dryad"
+	"icb/internal/progs/fsmodel"
+	"icb/internal/progs/wsq"
 	"icb/internal/sched"
 )
 
@@ -29,6 +35,43 @@ func TestCachedICBSameStatesFewerExecutions(t *testing.T) {
 	}
 	if cached.Executions >= plain.Executions {
 		t.Fatalf("caching did not prune: cached=%d plain=%d", cached.Executions, plain.Executions)
+	}
+}
+
+// TestCachedICBPinsBenchmarkSweeps pins the cached bound-2 sweeps of the
+// five correct benchmarks (the Table-1 configuration, races checked,
+// capped at 2000 executions): the sequential search is deterministic, so
+// its executions, classes, states and work-item table hits and misses are
+// exact. Dryad hits the cap after completing bound 1.
+func TestCachedICBPinsBenchmarkSweeps(t *testing.T) {
+	type counts struct{ executions, classes, states, hits, misses int }
+	for _, tc := range []struct {
+		bench *progs.Benchmark
+		bound int // completed bound
+		want  counts
+	}{
+		{bluetooth.Benchmark(), 2, counts{1158, 362, 8579, 930, 13634}},
+		{fsmodel.Benchmark(), 2, counts{717, 4, 1016, 908, 2476}},
+		{wsq.Benchmark(), 2, counts{336, 199, 7792, 117, 9057}},
+		{ape.Benchmark(), 2, counts{326, 64, 3116, 247, 3424}},
+		{dryad.Benchmark(), 1, counts{2000, 220, 14882, 2453, 27334}},
+	} {
+		res := core.Explore(tc.bench.Correct, core.ICB{}, core.Options{
+			MaxPreemptions: 2,
+			MaxExecutions:  2000,
+			CheckRaces:     true,
+			StateCache:     true,
+		})
+		got := counts{res.Executions, res.ExecutionClasses, res.States, res.CacheHits, res.CacheMisses}
+		if got != tc.want {
+			t.Errorf("%s: executions/classes/states/hits/misses = %d/%d/%d/%d/%d, want %d/%d/%d/%d/%d",
+				tc.bench.Name, got.executions, got.classes, got.states, got.hits, got.misses,
+				tc.want.executions, tc.want.classes, tc.want.states, tc.want.hits, tc.want.misses)
+		}
+		if res.BoundCompleted != tc.bound || len(res.Bugs) != 0 {
+			t.Errorf("%s: completed bound %d with %d bugs, want bound %d and none",
+				tc.bench.Name, res.BoundCompleted, len(res.Bugs), tc.bound)
+		}
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 
 	"icb/internal/core"
 	"icb/internal/obs"
-	"icb/internal/obs/prof"
 	"icb/internal/progs"
 	"icb/internal/progs/ape"
 	"icb/internal/progs/bluetooth"
@@ -63,10 +62,6 @@ type Config struct {
 	// with it). Per-row atlases used for the table coverage columns are
 	// recorded independently and tee into this one.
 	Coverage core.PointRecorder
-	// Profiler, when non-nil, attaches the search profiler to every
-	// exploration the experiments run (the profile experiment builds its
-	// own per-run profilers instead, for isolated measurements).
-	Profiler *prof.Profiler
 }
 
 func (c *Config) fill() {
@@ -121,18 +116,6 @@ func Run(name string, w io.Writer, cfg Config) error {
 		return Fig6(w, cfg)
 	case "ablate":
 		return Ablate(w, cfg)
-	case "parallel":
-		// Excluded from "all": a timing study, not a paper artifact.
-		// icb-bench calls Parallel directly to control the JSON path.
-		return Parallel(w, cfg, "", "", false)
-	case "profile":
-		// Excluded from "all" for the same reason; icb-bench calls Profile
-		// directly to control the JSON and baseline paths.
-		return Profile(w, cfg, "", "", 0)
-	case "bpor":
-		// Excluded from "all" likewise; icb-bench calls BPOR directly to
-		// control the JSON and baseline paths.
-		return BPOR(w, cfg, "", "")
 	case "all":
 		for _, n := range Experiments() {
 			if err := Run(n, w, cfg); err != nil {
@@ -165,9 +148,6 @@ func explore(prog sched.Program, s core.Strategy, opt core.Options, cfg Config) 
 	opt.Metrics = cfg.Metrics
 	opt.Sink = cfg.Sink
 	opt.Estimator = cfg.Estimator
-	if opt.Profiler == nil {
-		opt.Profiler = cfg.Profiler
-	}
 	if cfg.Coverage != nil {
 		if opt.Coverage != nil {
 			opt.Coverage = teePoints{opt.Coverage, cfg.Coverage}

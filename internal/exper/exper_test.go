@@ -234,57 +234,3 @@ func TestSeriesRowsShape(t *testing.T) {
 		t.Fatalf("carried value: %v", rows[2])
 	}
 }
-
-// TestParallelScaling: the scaling study's deterministic outputs must
-// agree across worker counts (ParallelData errors on divergence), every
-// row must find the seeded bug, and the JSON report must round-trip to
-// the named file.
-func TestParallelScaling(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "parallel.json")
-	var sb strings.Builder
-	if err := Parallel(&sb, Config{}, path, "", false); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ParallelData(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != len(parallelWorkerCounts) {
-		t.Fatalf("rows = %d, want %d", len(rep.Rows), len(parallelWorkerCounts))
-	}
-	for _, r := range rep.Rows {
-		if r.Bugs == 0 {
-			t.Errorf("workers=%d: seeded bug not found", r.Workers)
-		}
-		if r.BoundCompleted != rep.Bound {
-			t.Errorf("workers=%d: bound completed %d, want %d", r.Workers, r.BoundCompleted, rep.Bound)
-		}
-		// Speedup is only claimed on hosts that can run workers in
-		// parallel; single-core hosts report SpeedupValid=false and 0.
-		if rep.SpeedupValid && r.Speedup <= 0 {
-			t.Errorf("workers=%d: speedup %v, want > 0", r.Workers, r.Speedup)
-		}
-		if !rep.SpeedupValid && r.Speedup != 0 {
-			t.Errorf("workers=%d: speedup %v claimed on a serial host", r.Workers, r.Speedup)
-		}
-		// The validity flag rides on every row too, so tooling reading
-		// .rows[] in isolation sees it.
-		if r.SpeedupValid != rep.SpeedupValid {
-			t.Errorf("workers=%d: row speedup_valid %v != report %v", r.Workers, r.SpeedupValid, rep.SpeedupValid)
-		}
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"gomaxprocs"`) {
-		t.Errorf("report JSON missing host fields: %s", data)
-	}
-	if strings.Count(string(data), `"speedup_valid"`) != len(rep.Rows)+1 {
-		t.Errorf("report JSON should carry speedup_valid on the report and every row: %s", data)
-	}
-	if !strings.Contains(sb.String(), "Parallel scaling") {
-		t.Errorf("renderer output: %q", sb.String())
-	}
-}

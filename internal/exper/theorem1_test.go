@@ -8,17 +8,43 @@ import (
 	"icb/internal/zing"
 )
 
+// firstSightings pins, for every seeded benchmark bug in Table-2 order,
+// the 1-based index of the execution that first exposes it: sequential
+// ICB bounded to the bug's documented minimal preemption count, plain
+// and with the partial-order reduction. The searches are deterministic,
+// so the indices are exact; they are the same at any larger bound, since
+// ICB exhausts the smaller bounds first.
+var firstSightings = map[string]struct{ plain, bpor int }{
+	"Bluetooth/stop-window":                   {21, 19},
+	"File System Model/lockless-alloc":        {1, 1},
+	"Work Stealing Queue/pop-unreserved-read": {10, 10},
+	"Work Stealing Queue/steal-unlocked":      {46, 44},
+	"Work Stealing Queue/steal-late-commit":   {65, 65},
+	"APE/shutdown-miscount":                   {1, 1},
+	"APE/lost-wakeup":                         {1, 1},
+	"APE/completion-window":                   {27, 27},
+	"APE/activity-pointer":                    {292, 272},
+	"Dryad Channels/close-no-wait":            {1, 1},
+	"Dryad Channels/alert-window":             {1347, 1193},
+	"Dryad Channels/stats-lost-update":        {1337, 1184},
+	"Dryad Channels/handoff-lost-decrement":   {1400, 1238},
+	"Dryad Channels/lock-inversion":           {1311, 1158},
+}
+
 // TestTheorem1PinsBenchmarkBounds pins Theorem 1's two-sided guarantee on
 // every seeded benchmark bug: ICB bounded to the bug's documented minimal
 // preemption count c exposes it (and sights it at exactly c, the
-// minimal-first property), while the bound-(c-1) search completes without
-// finding anything — certifying that c really is the minimum, not just a
-// bound at which the bug happens to appear.
+// minimal-first property, at the pinned execution), while the
+// bound-(c-1) search completes without finding anything — certifying
+// that c really is the minimum, not just a bound at which the bug happens
+// to appear.
 func TestTheorem1PinsBenchmarkBounds(t *testing.T) {
 	cfg := Config{}
+	variants := 0
 	for _, b := range Benchmarks() {
 		for i := range b.Bugs {
 			bug := b.Bugs[i]
+			variants++
 			t.Run(b.Name+"/"+bug.ID, func(t *testing.T) {
 				res := explore(bug.Program, core.ICB{}, core.Options{
 					MaxPreemptions: bug.Bound,
@@ -33,6 +59,9 @@ func TestTheorem1PinsBenchmarkBounds(t *testing.T) {
 				}
 				if fb.Kind.String() != bug.Kind {
 					t.Errorf("bug kind %q, documented %q", fb.Kind, bug.Kind)
+				}
+				if want := firstSightings[b.Name+"/"+bug.ID]; fb.Execution != want.plain {
+					t.Errorf("first bug sighted at execution %d, pinned %d", fb.Execution, want.plain)
 				}
 
 				if bug.Bound == 0 {
@@ -51,6 +80,9 @@ func TestTheorem1PinsBenchmarkBounds(t *testing.T) {
 				}
 			})
 		}
+	}
+	if variants != len(firstSightings) {
+		t.Errorf("%d seeded bug variants, %d pinned first sightings", variants, len(firstSightings))
 	}
 }
 

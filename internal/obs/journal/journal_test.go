@@ -318,7 +318,7 @@ func TestDiffAndTrend(t *testing.T) {
 	}
 	same := *old
 	same.RunID, same.StartUnixNS = "r2", 200
-	if regs, err := Diff(old, &same, 0.05, 0); err != nil || len(regs) != 0 {
+	if regs, err := Diff(old, &same, 0.05); err != nil || len(regs) != 0 {
 		t.Errorf("identical runs: regs=%v err=%v", regs, err)
 	}
 
@@ -329,7 +329,7 @@ func TestDiffAndTrend(t *testing.T) {
 	worse.BoundCompleted = 2
 	worse.States = 400 // -20%, over tolerance
 	worse.BoundStats = []obs.RunBoundStat{{Bound: 2, Executions: 200}}
-	regs, err := Diff(old, &worse, 0.05, 0)
+	regs, err := Diff(old, &worse, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,22 +346,19 @@ func TestDiffAndTrend(t *testing.T) {
 		t.Error("first_bug_execution should not fire when the new run found no bug (bug_set already covers it)")
 	}
 
-	// Wall-clock metrics gate only when a wall tolerance is given.
+	// Wall clock is never gated: a slower run is not a regression.
 	slow := same
 	slow.RunID, slow.StartUnixNS = "r4", 400
 	slow.DurationNS = old.DurationNS * 3
 	slow.FirstBugNS = old.FirstBugNS * 3
-	if regs, _ := Diff(old, &slow, 0.05, 0); len(regs) != 0 {
-		t.Errorf("wall-clock gated without opt-in: %v", regs)
-	}
-	if regs, _ := Diff(old, &slow, 0.05, 0.5); len(regs) != 2 {
-		t.Errorf("wall-clock opt-in: got %v, want first_bug_ns + duration_ns", regs)
+	if regs, _ := Diff(old, &slow, 0.05); len(regs) != 0 {
+		t.Errorf("wall clock gated: %v", regs)
 	}
 
 	// Different configs never compare.
 	alien := same
 	alien.ConfigHash = "ffffffffffffffff"
-	if _, err := Diff(old, &alien, 0.05, 0); err == nil {
+	if _, err := Diff(old, &alien, 0.05); err == nil {
 		t.Error("cross-config diff should be an error")
 	}
 

@@ -54,14 +54,14 @@ type Regression struct {
 	Detail string `json:"detail"`
 }
 
-// Diff compares a new run against an old one and returns the regressions:
-// deterministic budget metrics (bug set, time-to-first-bug in executions,
-// bound progress, coverage counts) gated by tol (fractional slack, e.g.
-// 0.05), wall-clock metrics gated by wallTol only when wallTol > 0 (CI
-// runners vary too widely for wall-clock gating by default). Both runs
-// must carry the same ConfigHash: comparing different configurations is an
-// error, not a regression.
-func Diff(old, cur *obs.RunRecord, tol, wallTol float64) ([]Regression, error) {
+// Diff compares a new run against an old one and returns the regressions
+// in its deterministic budget metrics (bug set, time-to-first-bug in
+// executions, bound progress, coverage counts), gated by tol (fractional
+// slack, e.g. 0.05). Wall-clock fields are never gated here: the
+// repository benchmark (benchmark/) is where wall clock is judged. Both
+// runs must carry the same ConfigHash: comparing different configurations
+// is an error, not a regression.
+func Diff(old, cur *obs.RunRecord, tol float64) ([]Regression, error) {
 	if old.ConfigHash != cur.ConfigHash {
 		return nil, fmt.Errorf("journal: runs are not comparable: config %s (run %s) vs %s (run %s)",
 			old.ConfigHash, old.RunID, cur.ConfigHash, cur.RunID)
@@ -158,27 +158,6 @@ func Diff(old, cur *obs.RunRecord, tol, wallTol float64) ([]Regression, error) {
 				Old:    float64(ob),
 				New:    float64(bs.Executions),
 				Detail: fmt.Sprintf("bound %d took %d executions, was %d", bs.Bound, bs.Executions, ob),
-			})
-		}
-	}
-
-	// Wall-clock metrics: opt-in gating only (wallTol <= 0 reports
-	// nothing), because runner speed differences would make CI flaky.
-	if wallTol > 0 {
-		if old.FirstBugNS > 0 && cur.FirstBugNS > 0 && worse(float64(old.FirstBugNS), float64(cur.FirstBugNS), wallTol) {
-			regs = append(regs, Regression{
-				Metric: "first_bug_ns",
-				Old:    float64(old.FirstBugNS),
-				New:    float64(cur.FirstBugNS),
-				Detail: fmt.Sprintf("first bug after %.3fs wall, was %.3fs", float64(cur.FirstBugNS)/1e9, float64(old.FirstBugNS)/1e9),
-			})
-		}
-		if old.DurationNS > 0 && cur.DurationNS > 0 && worse(float64(old.DurationNS), float64(cur.DurationNS), wallTol) {
-			regs = append(regs, Regression{
-				Metric: "duration_ns",
-				Old:    float64(old.DurationNS),
-				New:    float64(cur.DurationNS),
-				Detail: fmt.Sprintf("run took %.3fs wall, was %.3fs", float64(cur.DurationNS)/1e9, float64(old.DurationNS)/1e9),
 			})
 		}
 	}

@@ -28,8 +28,8 @@ const NDJSONSchemaVersion = 6
 // name, a monotonic sequence number, the schema version, and the
 // milliseconds since the writer was created:
 //
-//	{"event":"header","seq":0,"v":4,"t_ms":0,"data":{"build":"icb v0.0.0-... go1.24"}}
-//	{"event":"bound_start","seq":1,"v":4,"t_ms":12,"data":{"bound":1,"queue":42,...}}
+//	{"event":"header","seq":0,"v":6,"t_ms":0,"data":{"build":"icb v0.0.0-... go1.24"}}
+//	{"event":"bound_start","seq":1,"v":6,"t_ms":12,"data":{"bound":1,"queue":42,...}}
 //
 // seq increases by exactly 1 per line, so a consumer can detect dropped or
 // reordered lines (e.g. after truncated copies or interleaved appends).

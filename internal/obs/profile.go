@@ -3,7 +3,7 @@ package obs
 // This file is the data model of the search profiler (package obs/prof):
 // plain-value snapshot structs that cross the package boundary between the
 // profiler's atomic counters and every surface that renders them (Snapshot,
-// NDJSON, the dashboard, repro bundles, BENCH_profile.json). Package obs
+// NDJSON, the dashboard, repro bundles, icb -profile-out). Package obs
 // deliberately holds only the shapes; the measurement machinery lives in
 // obs/prof and this package stays dependency-free.
 
