@@ -50,7 +50,7 @@ func main() {
 		budget   = flag.Int("budget", 2000, "execution budget per strategy for growth curves")
 		sample   = flag.Int("sample", 0, "curve sampling stride (0 = budget/50)")
 		seed     = flag.Int64("seed", 1, "random-walk seed")
-		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "worker engines for icb searches (1 = sequential reference search)")
+		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "worker engines for icb searches (1 = one worker, the reference order)")
 		csvDir   = flag.String("csv", "", "also write plot-ready CSV files into this directory (runs every experiment)")
 		progress = flag.Bool("progress", false, "print live search progress to stderr")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")

@@ -89,7 +89,7 @@ func run() int {
 		every    = flag.Bool("everyaccess", false, "scheduling points at every shared access (no sync-only reduction)")
 		list     = flag.Bool("list", false, "list benchmarks and bug variants")
 		seed     = flag.Int64("seed", 1, "seed for the random strategy")
-		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "worker engines for the icb strategy (1 = sequential reference search)")
+		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "worker engines for the icb strategy (1 = one worker, the reference order)")
 		progress = flag.Bool("progress", false, "print live search progress to stderr")
 		events   = flag.String("events", "", "write the structured event stream (NDJSON) to this file")
 		jsonOut  = flag.Bool("json", false, "print the final result as JSON on stdout (human text goes to stderr)")
@@ -159,9 +159,14 @@ func run() int {
 		*cache, *noRaces, *goldi = m.StateCache, !m.CheckRaces, m.Goldilocks
 		*every, *first, *bpor = m.EveryAccess, m.FirstBug, m.BPOR
 		*jrnlDir = *resume
-		fmt.Fprintf(human, "resuming campaign %s: run %s stopped at bound %d after %d executions (%d seeds + %d deferred remaining)\n",
-			*resume, ck.RunID, ck.State.Bound, ck.State.Result.Executions,
-			len(ck.State.SeedQueue), len(ck.State.NextWork))
+		st := &ck.State
+		held := ""
+		if len(st.Held) > 0 {
+			held = fmt.Sprintf(", %d held sightings", len(st.Held))
+		}
+		fmt.Fprintf(human, "resuming campaign %s: run %s stopped at bound %d after %d executions (%d seeds + %d deferred remaining%s)\n",
+			*resume, ck.RunID, st.Bound, st.Result.Executions,
+			len(st.SeedQueue), len(st.NextWork)+len(st.NextWork2), held)
 	}
 
 	// -replay with a path is a repro bundle: it names its own program and
@@ -249,16 +254,6 @@ func run() int {
 	if resumeCk != nil {
 		opt.Resume = &resumeCk.State
 		if err := core.ValidateResume(&resumeCk.State, opt); err != nil {
-			log.Error("resume validation failed", "err", err)
-			return 2
-		}
-		// The stealing and sequential schedulers write incompatible frontier
-		// snapshots; the resolved worker count decides which one runs.
-		effWorkers := 1
-		if _, ok := strat.(core.ParallelICB); ok {
-			effWorkers = *workers
-		}
-		if err := core.ValidateResumeWorkers(&resumeCk.State, effWorkers); err != nil {
 			log.Error("resume validation failed", "err", err)
 			return 2
 		}
@@ -446,6 +441,8 @@ func run() int {
 			Bugs:        len(resumeCk.State.Result.Bugs),
 			SeedQueue:   len(resumeCk.State.SeedQueue),
 			NextWork:    len(resumeCk.State.NextWork),
+			NextWork2:   len(resumeCk.State.NextWork2),
+			HeldBugs:    len(resumeCk.State.Held),
 		})
 	}
 

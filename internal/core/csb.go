@@ -1,11 +1,5 @@
 package core
 
-import (
-	"fmt"
-
-	"icb/internal/sched"
-)
-
 // CSB is pure context-switch bounding: the ablation of the paper's central
 // design choice. It enumerates executions in increasing order of TOTAL
 // context switches, preempting or not, instead of preempting switches
@@ -24,134 +18,7 @@ type CSB struct{}
 // Name implements Strategy.
 func (CSB) Name() string { return "csb" }
 
-// Explore implements Strategy.
-func (CSB) Explore(e *Engine) {
-	maxBound := e.Options().MaxPreemptions // reused as the switch bound
-
-	workQueue := []sched.Schedule{nil}
-	var nextWork []sched.Schedule
-	currBound := 0
-
-	for {
-		e.BeginBound(currBound, len(workQueue))
-		for head := 0; head < len(workQueue); head++ {
-			if e.Done() {
-				return
-			}
-			e.NoteFrontier(len(workQueue) - head - 1 + len(nextWork))
-			csbSearch(e, workQueue[head], currBound, &nextWork)
-		}
-		if e.Done() {
-			return
-		}
-		e.NoteFrontier(len(nextWork))
-		e.SetBoundCompleted(currBound)
-		if len(nextWork) == 0 {
-			e.MarkExhausted()
-			return
-		}
-		if maxBound >= 0 && currBound >= maxBound {
-			return
-		}
-		currBound++
-		workQueue = nextWork
-		nextWork = nil
-	}
-}
-
-// csbSearch explores all executions reachable from the replay schedule
-// without any further context switch: the running thread continues until
-// it dies, and every switch — voluntary or not — is deferred to the next
-// bound.
-func csbSearch(e *Engine, start sched.Schedule, bound int, next *[]sched.Schedule) {
-	stack := []sched.Schedule{start}
-	for len(stack) > 0 {
-		path := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		ctrl := &csbController{
-			path:     path,
-			onSwitch: func(alt sched.Schedule) { *next = append(*next, alt) },
-			onLocal:  func(alt sched.Schedule) { stack = append(stack, alt) },
-		}
-		out, done := e.RunExecution(ctrl)
-		if done {
-			return
-		}
-		if out.Status == sched.StatusStopped {
-			continue
-		}
-		if out.ContextSwitches != bound {
-			panic(fmt.Sprintf("csb: execution at bound %d had %d switches", bound, out.ContextSwitches))
-		}
-	}
-}
-
-// csbController continues the previous thread whenever it is enabled (free
-// within the bound); every switch to a different thread costs one unit.
-// When the previous thread cannot run, the execution is stuck within this
-// bound (unlike ICB's free nonpreempting branch) and all continuations go
-// to the next bound — which is why bound-0 covers only the main thread's
-// solo run.
-type csbController struct {
-	path sched.Schedule
-	pos  int
-	cur  sched.Schedule
-
-	onSwitch func(sched.Schedule)
-	onLocal  func(sched.Schedule)
-}
-
-// PickThread implements sched.Controller.
-func (c *csbController) PickThread(info sched.PickInfo) (sched.TID, bool) {
-	if c.pos < len(c.path) {
-		d := c.path[c.pos]
-		c.pos++
-		if d.Kind != sched.DecisionThread || !info.IsEnabled(d.Thread) {
-			panic(&sched.ReplayError{Pos: c.pos - 1, Want: d, Got: fmt.Sprintf("enabled set %v", info.Enabled)})
-		}
-		c.cur = append(c.cur, d)
-		return d.Thread, true
-	}
-	if info.Prev == sched.NoTID {
-		// The very first pick is not a switch; branch freely.
-		pick := info.Enabled[0]
-		for _, u := range info.Enabled[1:] {
-			c.onLocal(c.cur.Extend(sched.ThreadDecision(u)))
-		}
-		c.cur = append(c.cur, sched.ThreadDecision(pick))
-		return pick, true
-	}
-	if info.PrevEnabled {
-		for _, u := range info.Enabled {
-			if u != info.Prev {
-				c.onSwitch(c.cur.Extend(sched.ThreadDecision(u)))
-			}
-		}
-		c.cur = append(c.cur, sched.ThreadDecision(info.Prev))
-		return info.Prev, true
-	}
-	// The running thread blocked or exited: under pure context-switch
-	// bounding even this switch costs budget.
-	for _, u := range info.Enabled {
-		c.onSwitch(c.cur.Extend(sched.ThreadDecision(u)))
-	}
-	return sched.NoTID, false
-}
-
-// PickData implements sched.Controller.
-func (c *csbController) PickData(t sched.TID, n int) int {
-	if c.pos < len(c.path) {
-		d := c.path[c.pos]
-		c.pos++
-		if d.Kind != sched.DecisionData || d.Data < 0 || d.Data >= n {
-			panic(&sched.ReplayError{Pos: c.pos - 1, Want: d, Got: fmt.Sprintf("a data choice over %d values", n)})
-		}
-		c.cur = append(c.cur, d)
-		return d.Data
-	}
-	for v := 1; v < n; v++ {
-		c.onLocal(c.cur.Extend(sched.DataDecision(v)))
-	}
-	c.cur = append(c.cur, sched.DataDecision(0))
-	return 0
-}
+// Explore implements Strategy: the one-worker drain of ICB under the
+// cost rule that charges every context switch (see icbController). It
+// ignores the work-item table and BPOR.
+func (CSB) Explore(e *Engine) { newSearch(e, 1, nil, true).run(e) }

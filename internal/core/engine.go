@@ -27,9 +27,9 @@ type Engine struct {
 	prog sched.Program
 	opt  Options
 
-	// states and classes are plain StateSets for a sequential engine and
+	// states and classes are plain StateSets for a one-worker engine and
 	// lock-striped ShardedStateSets shared across every worker engine of a
-	// parallel search (see ParallelICB).
+	// multi-worker search (see ParallelICB).
 	states  hb.Set
 	classes hb.Set
 	fp      *hb.Fingerprinter
@@ -49,7 +49,7 @@ type Engine struct {
 	// every execution so its buffers outlive it (see bporExec).
 	bporX *bporExec
 
-	// Parallel-search plumbing, all nil/negative on a sequential engine so
+	// Multi-worker plumbing, all nil/negative on a one-worker engine so
 	// the hot path pays one nil-check each. stop is the search-wide abort
 	// flag shared by every worker (StopOnFirstBug, execution budget);
 	// sharedExecs is the search-wide execution counter that numbers
@@ -94,26 +94,19 @@ type Engine struct {
 	// event stream; the on-disk ordinal is the journal writer's).
 	ckptSeq int
 
-	// Work-stealing parallel search plumbing (see ParallelICB). early marks
-	// that the current execution runs ahead of the softened bound barrier
-	// (its bound has not started retiring), so bug sightings are diverted
-	// into held instead of being filed: filing them now could misreport a
-	// non-minimal preemption count or halt a StopOnFirstBug search before
-	// all lower-bound executions ran. heldSeen dedups within held. probes is
-	// this worker's batched state-set front-end, flushed at execution ends
-	// and safepoints so set counts are exact whenever the search reads them.
-	// scheduler tags exported snapshots with the scheduler version; the
-	// ckpt* fields carry the stealing search's extra frontier state into the
-	// next exportState call (zero on a sequential engine).
-	early          bool
-	held           []HeldBug
-	heldSeen       map[bugKey]int
-	probes         *hb.ProbeBuffer
-	scheduler      string
-	ckptNext2      []sched.Schedule
-	ckptHeld       []HeldBug
-	ckptDoneExecs  int
-	ckptEarlyExecs int
+	// Work-stealing plumbing of a worker engine at two workers or more (see
+	// ParallelICB). early marks that the current execution runs ahead of
+	// the softened bound barrier (its bound has not started retiring), so
+	// bug sightings are diverted into held instead of being filed: filing
+	// them now could misreport a non-minimal preemption count or halt a
+	// StopOnFirstBug search before all lower-bound executions ran. heldSeen
+	// dedups within held. probes is this worker's batched state-set
+	// front-end, flushed at execution ends and safepoints so set counts are
+	// exact whenever the search reads them.
+	early    bool
+	held     []HeldBug
+	heldSeen map[bugKey]int
+	probes   *hb.ProbeBuffer
 }
 
 // bugKey identifies a defect for deduplication across executions.
@@ -544,7 +537,7 @@ func (e *Engine) RunExecution(ctrl sched.Controller) (out sched.Outcome, done bo
 	}
 	e.res.Executions++
 	// execNo is the search-global 1-based execution index: the local count
-	// for a sequential engine, a shared atomic for parallel workers (so bug
+	// for a one-worker engine, a shared atomic for parallel workers (so bug
 	// reports, events and the budget see one consistent numbering).
 	execNo := e.res.Executions
 	if e.sharedExecs != nil {

@@ -12,7 +12,7 @@ import (
 // c+1 preemptions. Work items are replay schedules; the recursive Search of
 // the paper becomes an explicit local stack (its recursion along the
 // running thread is the execution itself; its branching at blocking points
-// is the stack).
+// is the stack, the bottom of the bound's work-stealing deque).
 //
 // Guarantees (paper §1, §3):
 //   - the first bug found is exposed by an execution with the minimum
@@ -24,151 +24,17 @@ type ICB struct{}
 // Name implements Strategy.
 func (ICB) Name() string { return "icb" }
 
-// Explore implements Strategy.
-func (ICB) Explore(e *Engine) {
-	maxBound := e.Options().MaxPreemptions
-
-	// workQueue holds the schedules to explore within the current bound;
-	// nextWork holds the schedules that require one more preemption.
-	workQueue := []sched.Schedule{nil}
-	var nextWork []sched.Schedule
-	currBound := 0
-	resumed := e.Options().Resume
-	if resumed != nil {
-		// Re-enter Algorithm 1's loop exactly where the snapshot left it:
-		// the seed queue is the interrupted bound's remaining work in drain
-		// order (see SearchState), so the executions that follow are the
-		// executions the uninterrupted search would have run next.
-		currBound = resumed.Bound
-		workQueue = resumed.SeedQueue
-		nextWork = resumed.NextWork
-		if len(workQueue) == 0 && len(nextWork) == 0 {
-			// A final snapshot of a finished search: nothing to do.
-			return
-		}
-		if len(workQueue) == 0 {
-			// Snapshot taken at a bound barrier with the old bound's queue
-			// fully drained but the frontier not yet promoted.
-			currBound++
-			workQueue = nextWork
-			nextWork = nil
-		}
-		if maxBound >= 0 && currBound > maxBound {
-			// The end-of-budget snapshot: its frontier needs more budget than
-			// this search allows, so the restored result is already final.
-			return
-		}
-	}
-
-	for {
-		// Drain the current bound. Each popped schedule seeds a
-		// no-new-preemption depth-first exploration (the Search procedure).
-		e.BeginBound(currBound, len(workQueue))
-		if resumed != nil && currBound == resumed.Bound {
-			// The resumed bound began in an earlier process life; its
-			// eventual BoundStat must count executions from all of them.
-			e.restoreBoundBaseline(resumed.BoundStartExecs)
-		}
-		for head := 0; head < len(workQueue); head++ {
-			if e.Done() {
-				e.CaptureCheckpoint(currBound, workQueue[head:], nextWork, true)
-				return
-			}
-			e.NoteWork(head, len(workQueue))
-			e.NoteFrontier(len(workQueue) - head - 1 + len(nextWork))
-			tail := workQueue[head+1:]
-			leftover, stopped := searchNoPreempt(e, workQueue[head], currBound, &nextWork,
-				func(stack []sched.Schedule) {
-					e.CaptureCheckpoint(currBound, resumeSeeds(stack, tail), nextWork, false)
-				})
-			if stopped {
-				e.CaptureCheckpoint(currBound, resumeSeeds(leftover, tail), nextWork, true)
-				return
-			}
-		}
-		if e.Done() {
-			e.CaptureCheckpoint(currBound, nil, nextWork, true)
-			return
-		}
-		e.NoteWork(len(workQueue), len(workQueue))
-		e.NoteFrontier(len(nextWork))
-		e.SetBoundCompleted(currBound)
-		// The barrier re-anchor is semantically a no-op (the next BeginBound
-		// stores the same value); it keeps the barrier snapshot below
-		// consistent for a resume into the next bound.
-		e.restoreBoundBaseline(e.Executions())
-		if len(nextWork) == 0 {
-			e.MarkExhausted()
-			e.CaptureCheckpoint(currBound, nil, nil, true)
-			return
-		}
-		if maxBound >= 0 && currBound >= maxBound {
-			// Budget reached with work deferred: the final snapshot carries
-			// the next bound's full queue, so a resume with a higher bound
-			// can continue the same campaign.
-			e.CaptureCheckpoint(currBound+1, nextWork, nil, true)
-			return
-		}
-		currBound++
-		workQueue = nextWork
-		nextWork = nil
-		// Bound-barrier snapshot: crash recovery never loses more than the
-		// current bound's progress even when no periodic checkpoint was due.
-		e.CaptureCheckpoint(currBound, workQueue, nil, false)
-	}
-}
-
-// searchNoPreempt explores all executions reachable from the given replay
-// schedule without introducing further preemptions, pushing the executions
-// that would need one more preemption onto next.
-//
-// ck, when non-nil, is invoked with the current local stack at execution
-// boundaries where a periodic checkpoint is due. When the engine stops
-// mid-drain (budget, first bug, external stop), searchNoPreempt returns the
-// unexplored remainder of the stack with stopped=true; flattened through
-// resumeSeeds it becomes the seed queue a resumed search drains in the
-// exact order this one would have.
-func searchNoPreempt(e *Engine, start sched.Schedule, bound int, next *[]sched.Schedule, ck func(stack []sched.Schedule)) (leftover []sched.Schedule, stopped bool) {
-	stack := []sched.Schedule{start}
-	for len(stack) > 0 {
-		if e.Done() {
-			return stack, true
-		}
-		if ck != nil && e.checkpointDue() {
-			ck(stack)
-		}
-		path := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		ctrl := newICBController(e, path, bound,
-			func(alt sched.Schedule) { stack = append(stack, alt) },
-			func(alt sched.Schedule) { *next = append(*next, alt) })
-		before := e.Executions()
-		out, done := e.RunExecution(ctrl)
-		if done {
-			if e.Executions() == before {
-				// The engine was already stopping and never ran the popped
-				// schedule (an external stop can land between the boundary
-				// check above and the run); put it back so the checkpoint
-				// does not lose its subtree.
-				stack = append(stack, path)
-			} else if ctrl.bpor != nil {
-				// The execution ran to completion before the stop landed;
-				// finish its reduction bookkeeping so the leftover stack
-				// (and any checkpoint built from it) is complete.
-				ctrl.bporFinish(out.Status)
-			}
-			return stack, true
-		}
-		finishItem(ctrl, out, bound)
-	}
-	return nil, false
-}
+// Explore implements Strategy: the one-worker instance of the search loop
+// (see ParallelICB), which runs on the caller's goroutine and explores a
+// bound's seeds oldest first, each seed's subtree last in, first out.
+func (ICB) Explore(e *Engine) { newSearch(e, 1, nil, false).run(e) }
 
 // newICBController builds the controller that replays one work item at the
 // given bound and routes the alternatives it generates: onLocal receives
-// same-bound items, onPreempt items costing one more preemption. Shared by
-// the sequential stack drain and the parallel workers.
-func newICBController(e *Engine, path sched.Schedule, bound int, onLocal, onPreempt func(sched.Schedule)) *icbController {
+// same-bound items, onPreempt items costing one more unit of the bound.
+// csb selects context-switch bounding's cost rule; it ignores the
+// work-item table and BPOR.
+func newICBController(e *Engine, path sched.Schedule, bound int, csb bool, onLocal, onPreempt func(sched.Schedule)) *icbController {
 	ctrl := &icbController{
 		path: path,
 		// The extension phase appends one decision per scheduling point
@@ -176,20 +42,23 @@ func newICBController(e *Engine, path sched.Schedule, bound int, onLocal, onPree
 		// small headroom avoids the append-regrowth copies that
 		// otherwise dominate the controller's allocations.
 		cur:       make(sched.Schedule, 0, len(path)+16),
-		cache:     e.Cache(),
+		csb:       csb,
 		onPreempt: onPreempt,
 		onLocal:   onLocal,
 	}
-	if e.bpor != nil {
-		ctrl.bpor = e.bporExec(bound)
+	if !csb {
+		ctrl.cache = e.Cache()
+		if e.bpor != nil {
+			ctrl.bpor = e.bporExec(bound)
+		}
 	}
 	return ctrl
 }
 
 // finishItem applies the post-run bookkeeping one completed (not stopped-
-// before-running) work item needs, shared by the sequential stack drain
-// and the parallel workers: the BPOR finishing step, and the
-// preemption-count invariant.
+// before-running) work item needs: the BPOR finishing step, and the
+// invariant that an execution drained at bound c spent exactly c units of
+// it (preemptions, or under CSB context switches).
 func finishItem(ctrl *icbController, out sched.Outcome, bound int) {
 	if ctrl.bpor != nil {
 		// Even an execution cut by the work-item cache (StatusStopped) has
@@ -199,6 +68,12 @@ func finishItem(ctrl *icbController, out sched.Outcome, bound int) {
 		ctrl.bporFinish(out.Status)
 	}
 	if out.Status == sched.StatusStopped {
+		return
+	}
+	if ctrl.csb {
+		if out.ContextSwitches != bound {
+			panic(fmt.Sprintf("csb: execution at bound %d had %d switches", bound, out.ContextSwitches))
+		}
 		return
 	}
 	if out.Preemptions != bound {
@@ -222,6 +97,10 @@ type icbController struct {
 	pos   int
 	cur   sched.Schedule
 	cache *Cache
+	// csb charges every context switch, not only preempting ones (CSB):
+	// when the running thread blocks or exits, every continuation costs
+	// one and the execution ends here.
+	csb bool
 	// preempts counts the preempting context switches along cur, including
 	// the replayed prefix: the work-item table is keyed by (state, decision,
 	// preemptions spent) so that paths with different remaining budgets are
@@ -308,8 +187,15 @@ func (c *icbController) PickThread(info sched.PickInfo) (sched.TID, bool) {
 		c.cur = append(c.cur, sched.ThreadDecision(info.Prev))
 		return info.Prev, true
 	}
+	if c.csb && info.Prev != sched.NoTID {
+		for _, u := range info.Enabled {
+			c.onPreempt(c.cur.Extend(sched.ThreadDecision(u)))
+		}
+		return sched.NoTID, false
+	}
 	// Lines 33–37: the running thread yielded (blocked or exited); all
-	// enabled threads are explored within the current bound.
+	// enabled threads are explored within the current bound. The first
+	// pick of an execution switches from no thread, so it is free.
 	pick := info.Enabled[0]
 	if !c.take(sched.ThreadDecision(pick), c.preempts) {
 		return sched.NoTID, false

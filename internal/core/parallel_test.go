@@ -1,11 +1,11 @@
 package core_test
 
-// Tests of the bound-synchronized parallel search (ParallelICB): workers=1
-// must be byte-identical to the sequential strategy, and any worker count
-// must preserve the deterministic outputs — bug set, BoundCompleted,
-// per-bound coverage, distinct-state and execution-class counts — that the
-// bound barrier guarantees. Run with -race: these tests are also the data
-// -race needs to check the sharded set, striped table and merge step.
+// Tests of the work-stealing search (ParallelICB) at two workers or more:
+// any worker count must preserve the deterministic outputs — bug set,
+// BoundCompleted, per-bound coverage, distinct-state and execution-class
+// counts — of the one-worker search (ICB), whose order TestExecutionOrderPins
+// pins. Run with -race: these tests are also the data -race needs to check
+// the sharded set, striped table and merge step.
 
 import (
 	"fmt"
@@ -42,28 +42,6 @@ func wsqBuggy() sched.Program {
 
 func bluetoothBuggy() sched.Program {
 	return bluetooth.Benchmark().Bugs[0].Program
-}
-
-// TestParallelICBWorkersOneIdentical: workers=1 must take the exact legacy
-// code path — same execution order, same Result, field for field.
-func TestParallelICBWorkersOneIdentical(t *testing.T) {
-	for _, cache := range []bool{false, true} {
-		opt := core.Options{MaxPreemptions: 2, CheckRaces: true, StateCache: cache}
-		seq := core.Explore(wsqBuggy(), core.ICB{}, opt)
-		par := core.Explore(wsqBuggy(), core.ParallelICB{Workers: 1}, opt)
-
-		// Wall times differ run to run; everything else must match exactly.
-		seq.Duration, par.Duration = 0, 0
-		for i := range seq.BoundStats {
-			seq.BoundStats[i].Duration = 0
-		}
-		for i := range par.BoundStats {
-			par.BoundStats[i].Duration = 0
-		}
-		if !reflect.DeepEqual(seq, par) {
-			t.Errorf("cache=%v: workers=1 Result differs from sequential:\nseq: %+v\npar: %+v", cache, seq, par)
-		}
-	}
 }
 
 // TestParallelICBMatchesSequential: without caching the explored execution

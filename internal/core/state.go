@@ -15,27 +15,31 @@ import (
 // states are 64-bit fingerprints, and no scheduler or heap state needs
 // capturing because every execution restarts from the initial state.
 //
-// A sequential search resumed from a SearchState produces a Result
-// identical to the uninterrupted run's (up to wall-clock durations): the
-// seed queue preserves the exact exploration order, the restored work-item
-// table prunes exactly what the original process would have pruned, and
-// the restored coverage sets continue the same counters. A parallel search
-// resumed from a barrier (or stop-point) snapshot preserves the bug set,
-// BoundCompleted and the state/class counts; execution order within a
-// bound is nondeterministic across worker counts either way.
+// Every worker count writes and reads the same snapshot, so a search
+// resumes at any worker count. A one-worker search resumed at one worker
+// produces a Result identical to the uninterrupted run's (up to wall-clock
+// durations): the queues preserve the exact exploration order, the
+// restored work-item table prunes exactly what the original process would
+// have pruned, and the restored coverage sets continue the same counters.
+// Any other pairing preserves the bug set with minimal preemption counts,
+// BoundCompleted and — without state caching or BPOR — the execution,
+// state and class counts; execution order within a bound is
+// nondeterministic at two workers or more.
 type SearchState struct {
 	// Bound is the preemption bound being drained when the snapshot was
 	// taken; the resumed search re-enters Algorithm 1's loop at this bound.
 	Bound int `json:"bound"`
-	// BoundStartExecs is Result.Executions at the moment the bound began
-	// (possibly in an earlier process life), so the resumed bound's
+	// BoundStartExecs is the number of executions attributed to the bounds
+	// below Bound (across every process life), so the resumed bound's
 	// BoundStat counts executions from every life it spanned.
 	BoundStartExecs int `json:"bound_start_execs"`
-	// SeedQueue holds the current bound's remaining work items in exact
-	// drain order: the in-progress seed's local no-preempt stack (top
-	// first) followed by the untouched tail of the bound's queue.
+	// SeedQueue holds bound Bound's remaining work items in the order one
+	// worker drains them: the in-progress seed's subtree (its local stack,
+	// top first), then the bound's untouched seeds, oldest first.
 	SeedQueue []sched.Schedule `json:"seed_queue"`
-	// NextWork holds the work items already deferred to bound Bound+1.
+	// NextWork holds the work items already deferred to bound Bound+1, in
+	// generation order (the order one worker drains them once that bound
+	// is current).
 	NextWork []sched.Schedule `json:"next_work,omitempty"`
 	// Result is the accumulated exploration result so far (durations are
 	// the old process's and keep growing after resume).
@@ -64,32 +68,31 @@ type SearchState struct {
 	// suppressed/emitted, sleep-blocked runs) across a resume, so pruned
 	// totals keep accumulating instead of restarting at zero.
 	BPORCounters *BPORCounters `json:"bpor_counters,omitempty"`
-	// Scheduler tags the scheduler version that captured the snapshot:
-	// empty for the sequential drain, SchedulerWS for the work-stealing
-	// parallel search. The two carry different frontier invariants (the
-	// stealing search's softened barrier keeps up to three bounds live and
-	// holds back early bug sightings), so ValidateResumeWorkers rejects
-	// mixing them. All fields below are zero on sequential snapshots, which
-	// therefore serialize byte-identically to the pre-stealing schema.
+	// Scheduler tags the snapshot format: SchedulerWS. ValidateResume also
+	// accepts the two formats earlier versions wrote, both special cases
+	// of this one: untagged snapshots of the sequential search (one worker,
+	// nothing held, nothing deferred two bounds ahead) and "ws/1" snapshots
+	// of the work-stealing search (queues in steal order).
 	Scheduler string `json:"scheduler,omitempty"`
 	// NextWork2 holds work items already deferred to bound Bound+2 by
-	// workers that ran ahead of the softened barrier into bound Bound+1.
+	// workers that ran ahead of the softened barrier into bound Bound+1,
+	// in generation order. Always empty at one worker.
 	NextWork2 []sched.Schedule `json:"next_work2,omitempty"`
 	// Held carries early bug sightings whose bound had not retired when the
 	// snapshot was taken; a resumed search files them when their bound
 	// retires (they are deliberately absent from Result.Bugs until then).
+	// Always empty at one worker.
 	Held []HeldBug `json:"held_bugs,omitempty"`
-	// DoneExecs is the number of executions attributed to bound Bound so
-	// far (across every process life); EarlyExecs the same for Bound+1
-	// (consumed early through the softened barrier). They restore the
-	// stealing search's exhaustion and per-bound attribution counters.
-	DoneExecs  int `json:"done_execs,omitempty"`
+	// EarlyExecs is the number of executions attributed to bound Bound+1
+	// so far (consumed early through the softened barrier). Those
+	// attributed to Bound follow: Result.Executions − BoundStartExecs −
+	// EarlyExecs.
 	EarlyExecs int `json:"early_execs,omitempty"`
 }
 
-// SchedulerWS is the SearchState.Scheduler tag of the work-stealing
-// parallel scheduler (bumped if its frontier invariants ever change).
-const SchedulerWS = "ws/1"
+// SchedulerWS is the SearchState.Scheduler tag of the snapshot format
+// (bumped if the frontier's invariants ever change).
+const SchedulerWS = "ws/2"
 
 // HeldBug is one early bug sighting held back by the softened bound
 // barrier: Bug is the full report, Bound the preemption bound whose
@@ -143,35 +146,46 @@ func (e *Engine) checkpointDue() bool {
 	return e.opt.Checkpoint != nil && e.opt.Checkpoint.Due()
 }
 
-// CaptureCheckpoint exports the search state and hands it to the attached
-// checkpoint sink. seeds must be the current bound's remaining work items
-// in drain order; next the items deferred to the following bound. A no-op
-// without a sink. Strategies call it at execution boundaries (when due),
-// at bound barriers, and once more when stopping (final). A matching
-// obs.CheckpointEvent goes to the event sink so live surfaces (progress,
-// dashboard) see snapshots happen; the journal writer logs its own richer
-// record from Capture and ignores the event.
-func (e *Engine) CaptureCheckpoint(bound int, seeds, next []sched.Schedule, final bool) {
+// ckptFrontier is the unexplored remainder of a search at an execution
+// boundary, in SearchState's terms: bound's remaining items in drain
+// order, the next two bounds' items in generation order, the held
+// sightings, and the executions attributed to bound+1 so far.
+type ckptFrontier struct {
+	bound       int
+	seeds       []sched.Schedule
+	next, next2 []sched.Schedule
+	held        []HeldBug
+	earlyExecs  int
+}
+
+// captureCheckpoint exports the search state with frontier f and hands it
+// to the attached checkpoint sink. A no-op without a sink. The search
+// calls it at execution boundaries (when due), at bound barriers, and once
+// more when stopping (final). A matching obs.CheckpointEvent goes to the
+// event sink so live surfaces (progress, dashboard) see snapshots happen;
+// the journal writer logs its own richer record from Capture and ignores
+// the event.
+func (e *Engine) captureCheckpoint(f ckptFrontier, final bool) {
 	cs := e.opt.Checkpoint
 	if cs == nil {
 		return
 	}
-	st := e.exportState(bound, seeds, next)
+	st := e.exportState(f)
 	cs.Capture(st, final)
 	e.ckptSeq++
 	if e.sink != nil {
 		e.sink.Checkpoint(obs.CheckpointEvent{
 			Seq:        e.ckptSeq,
-			Bound:      bound,
+			Bound:      f.bound,
 			Executions: st.Result.Executions,
 			States:     len(st.States),
 			Classes:    len(st.Classes),
 			Bugs:       len(st.Result.Bugs),
-			SeedQueue:  len(seeds),
-			NextWork:   len(next),
+			SeedQueue:  len(f.seeds),
+			NextWork:   len(f.next),
 			Scheduler:  st.Scheduler,
-			NextWork2:  len(st.NextWork2),
-			HeldBugs:   len(st.Held),
+			NextWork2:  len(f.next2),
+			HeldBugs:   len(f.held),
 			Final:      final,
 		})
 	}
@@ -180,15 +194,19 @@ func (e *Engine) CaptureCheckpoint(bound int, seeds, next []sched.Schedule, fina
 // exportState builds the serializable snapshot of this engine at an
 // execution boundary. The fingerprint sets are sorted so that identical
 // search states serialize to identical bytes.
-func (e *Engine) exportState(bound int, seeds, next []sched.Schedule) *SearchState {
+func (e *Engine) exportState(f ckptFrontier) *SearchState {
 	st := &SearchState{
-		Bound:           bound,
+		Bound:           f.bound,
 		BoundStartExecs: e.boundStartExecs,
-		SeedQueue:       seeds,
-		NextWork:        next,
+		SeedQueue:       f.seeds,
+		NextWork:        f.next,
 		Result:          e.res,
 		States:          sortedU64(e.states.Elems()),
 		Classes:         sortedU64(e.classes.Elems()),
+		Scheduler:       SchedulerWS,
+		NextWork2:       f.next2,
+		Held:            f.held,
+		EarlyExecs:      f.earlyExecs,
 	}
 	if e.cache != nil {
 		st.CacheKeys = e.cache.export()
@@ -200,11 +218,6 @@ func (e *Engine) exportState(bound int, seeds, next []sched.Schedule) *SearchSta
 		st.BPORSeen = e.bpor.export()
 		st.BPORCounters = e.bpor.exportCounters()
 	}
-	st.Scheduler = e.scheduler
-	st.NextWork2 = e.ckptNext2
-	st.Held = e.ckptHeld
-	st.DoneExecs = e.ckptDoneExecs
-	st.EarlyExecs = e.ckptEarlyExecs
 	return st
 }
 
@@ -276,26 +289,14 @@ func ValidateResume(st *SearchState, opt Options) error {
 		}
 		return fmt.Errorf("core: resume state was captured without partial-order reduction but the search runs with -bpor")
 	}
-	if st.Scheduler != "" && st.Scheduler != SchedulerWS {
+	switch st.Scheduler {
+	case SchedulerWS, "", "ws/1":
+	default:
 		return fmt.Errorf("core: resume state was captured by unknown scheduler version %q", st.Scheduler)
 	}
-	return nil
-}
-
-// ValidateResumeWorkers rejects snapshots from a mixed scheduler version:
-// a work-stealing frontier (up to three live bounds, held-back sightings)
-// cannot resume into the sequential drain, and a sequential frontier
-// cannot resume into the stealing search — each would silently violate the
-// other's invariants. workers is the resolved worker count about to run.
-func ValidateResumeWorkers(st *SearchState, workers int) error {
-	if st == nil {
-		return nil
-	}
-	if workers > 1 && st.Scheduler != SchedulerWS {
-		return fmt.Errorf("core: resume state was captured by the sequential scheduler but the search runs with %d workers (mixed scheduler versions; resume with -workers 1)", workers)
-	}
-	if workers <= 1 && st.Scheduler == SchedulerWS {
-		return fmt.Errorf("core: resume state was captured by the work-stealing scheduler but the search runs sequentially (mixed scheduler versions; resume with -workers > 1)")
+	if st.BoundStartExecs < 0 || st.EarlyExecs < 0 || st.Result.Executions < st.BoundStartExecs+st.EarlyExecs {
+		return fmt.Errorf("core: resume state attributes %d+%d of its %d executions to bounds before and after bound %d",
+			st.BoundStartExecs, st.EarlyExecs, st.Result.Executions, st.Bound)
 	}
 	return nil
 }
@@ -303,17 +304,4 @@ func ValidateResumeWorkers(st *SearchState, workers int) error {
 func sortedU64(s []uint64) []uint64 {
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	return s
-}
-
-// resumeSeeds flattens an interrupted no-preempt exploration into FIFO
-// seed order: the local stack is popped last-in-first-out and every item's
-// subtree is fully drained before the item below it, so reversing the
-// stack into a queue of independent seeds reproduces the exact exploration
-// order the uninterrupted search would have followed.
-func resumeSeeds(stack, tail []sched.Schedule) []sched.Schedule {
-	out := make([]sched.Schedule, 0, len(stack)+len(tail))
-	for i := len(stack) - 1; i >= 0; i-- {
-		out = append(out, stack[i])
-	}
-	return append(out, tail...)
 }

@@ -8,10 +8,10 @@ import (
 
 // wsDeque is a Chase–Lev work-stealing deque of replay schedules: the
 // owning worker pushes and pops at the bottom (LIFO, so a worker drains
-// its own subtree depth-first, exactly like the sequential search's local
-// stack), while thieves steal single items from the top (FIFO, so a steal
-// takes the oldest item — the one closest to the root of the subtree and
-// therefore the largest remaining amount of work).
+// its own subtree depth-first, like a local stack), while thieves steal
+// single items from the top (FIFO, so a steal takes the oldest item — the
+// one closest to the root of the subtree and therefore the largest
+// remaining amount of work).
 //
 // The implementation is the classic lock-free algorithm (Chase & Lev,
 // SPAA 2005) on Go's sequentially-consistent atomics: top only ever moves
@@ -34,25 +34,17 @@ type wsBuf struct {
 	items []atomic.Pointer[sched.Schedule]
 }
 
-// wsDequeInitialSize is the initial slot count (must be a power of two).
-// Bounds with more queued work grow by doubling.
+// wsDequeInitialSize is the slot count of a deque's first buffer (must be
+// a power of two). The zero deque is empty and allocates it at the first
+// push; bounds with more queued work grow by doubling.
 const wsDequeInitialSize = 64
-
-func newWSDeque() *wsDeque {
-	d := &wsDeque{}
-	d.buf.Store(&wsBuf{
-		mask:  wsDequeInitialSize - 1,
-		items: make([]atomic.Pointer[sched.Schedule], wsDequeInitialSize),
-	})
-	return d
-}
 
 // push appends s at the bottom. Owner only.
 func (d *wsDeque) push(s sched.Schedule) {
 	b := d.bottom.Load()
 	t := d.top.Load()
 	buf := d.buf.Load()
-	if b-t >= int64(len(buf.items))-1 {
+	if buf == nil || b-t >= int64(len(buf.items))-1 {
 		buf = d.grow(buf, t, b)
 	}
 	sc := s
@@ -104,12 +96,14 @@ func (d *wsDeque) steal() (sched.Schedule, bool) {
 	}
 }
 
-// grow doubles the buffer, copying the live window [t, b). Owner only.
+// grow doubles the buffer, copying the live window [t, b), or allocates
+// the first one. Owner only.
 func (d *wsDeque) grow(old *wsBuf, t, b int64) *wsBuf {
-	nb := &wsBuf{
-		mask:  (old.mask+1)*2 - 1,
-		items: make([]atomic.Pointer[sched.Schedule], (old.mask+1)*2),
+	n := int64(wsDequeInitialSize)
+	if old != nil {
+		n = (old.mask + 1) * 2
 	}
+	nb := &wsBuf{mask: n - 1, items: make([]atomic.Pointer[sched.Schedule], n)}
 	for i := t; i < b; i++ {
 		nb.items[i&nb.mask].Store(old.items[i&old.mask].Load())
 	}
@@ -141,4 +135,20 @@ func (d *wsDeque) snapshotQuiesced() []sched.Schedule {
 		out = append(out, *buf.items[i&buf.mask].Load())
 	}
 	return out
+}
+
+// reverseQuiesced reverses the queued items in place, so the oldest is
+// popped first. Same precondition as snapshotQuiesced.
+func (d *wsDeque) reverseQuiesced() {
+	t, b := d.top.Load(), d.bottom.Load()-1
+	if t >= b {
+		return
+	}
+	buf := d.buf.Load()
+	for ; t < b; t, b = t+1, b-1 {
+		x, y := &buf.items[t&buf.mask], &buf.items[b&buf.mask]
+		xv := x.Load()
+		x.Store(y.Load())
+		y.Store(xv)
+	}
 }

@@ -16,7 +16,7 @@ func mkSched(n int) sched.Schedule {
 func schedID(s sched.Schedule) int { return s[0].Data }
 
 func TestWSDequeOwnerLIFO(t *testing.T) {
-	d := newWSDeque()
+	d := &wsDeque{}
 	if _, ok := d.pop(); ok {
 		t.Fatal("pop on empty deque succeeded")
 	}
@@ -38,7 +38,7 @@ func TestWSDequeOwnerLIFO(t *testing.T) {
 }
 
 func TestWSDequeStealFIFO(t *testing.T) {
-	d := newWSDeque()
+	d := &wsDeque{}
 	for i := 0; i < 5; i++ {
 		d.push(mkSched(i))
 	}
@@ -54,7 +54,7 @@ func TestWSDequeStealFIFO(t *testing.T) {
 }
 
 func TestWSDequeGrowth(t *testing.T) {
-	d := newWSDeque()
+	d := &wsDeque{}
 	const n = wsDequeInitialSize * 4
 	for i := 0; i < n; i++ {
 		d.push(mkSched(i))
@@ -83,6 +83,31 @@ func TestWSDequeGrowth(t *testing.T) {
 	}
 }
 
+// TestWSDequeReverse: reversing a quiesced deque makes the owner pop its
+// oldest item first, across a wrapped buffer and at every length parity.
+func TestWSDequeReverse(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 5, wsDequeInitialSize + 3} {
+		d := &wsDeque{}
+		// Move top near the buffer's end, so the live window wraps.
+		for i := 0; i < wsDequeInitialSize-2; i++ {
+			d.push(mkSched(-1))
+			d.steal()
+		}
+		for i := 0; i < n; i++ {
+			d.push(mkSched(i))
+		}
+		d.reverseQuiesced()
+		for i := 0; i < n; i++ {
+			if s, ok := d.pop(); !ok || schedID(s) != i {
+				t.Fatalf("n=%d: pop %d = (%v, %v), want id %d", n, i, s, ok, i)
+			}
+		}
+		if _, ok := d.pop(); ok {
+			t.Fatalf("n=%d: pop after drain succeeded", n)
+		}
+	}
+}
+
 // TestWSDequeConcurrentSteal hammers one owner against several thieves and
 // checks that every pushed item is consumed exactly once. Run with -race.
 func TestWSDequeConcurrentSteal(t *testing.T) {
@@ -90,7 +115,7 @@ func TestWSDequeConcurrentSteal(t *testing.T) {
 		thieves = 4
 		items   = 4000
 	)
-	d := newWSDeque()
+	d := &wsDeque{}
 	var mu sync.Mutex
 	seen := make(map[int]int, items)
 	record := func(batch []int) {

@@ -128,10 +128,10 @@ func Run(name string, w io.Writer, cfg Config) error {
 	return fmt.Errorf("unknown experiment %q (have %v)", name, Experiments())
 }
 
-// icb returns the configured ICB strategy: the sequential reference
-// implementation for Workers <= 1, the bound-synchronized parallel search
-// otherwise. Ablate deliberately bypasses this helper — its Theorem 1
-// validation counts executions one controller at a time.
+// icb returns the configured ICB strategy: one worker, in the reference
+// order, for Workers <= 1, the work-stealing search on Workers otherwise.
+// Ablate deliberately bypasses this helper — its Theorem 1 validation
+// counts executions one controller at a time.
 func (c Config) icb() core.Strategy {
 	if c.Workers > 1 {
 		return core.ParallelICB{Workers: c.Workers}

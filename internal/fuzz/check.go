@@ -1,11 +1,16 @@
 package fuzz
 
 import (
+	"encoding/json"
 	"fmt"
+	"reflect"
 	"sort"
+	"strings"
+	"sync/atomic"
 
 	"icb/internal/baseline"
 	"icb/internal/core"
+	"icb/internal/obs"
 	"icb/internal/sched"
 )
 
@@ -93,6 +98,7 @@ func CheckAgainstTruth(spec *Spec, truth *Truth, lim Limits) []Discrepancy {
 	c.checkParallel()
 	c.checkCache(icbRes)
 	c.checkBPOR(icbRes)
+	c.checkResume()
 	c.checkReplayAndMinimize(icbRes)
 	return c.discs
 }
@@ -367,8 +373,8 @@ func (c *checker) checkCSB(dfsRes *core.Result) {
 }
 
 // checkParallel cross-checks the work-stealing ParallelICB at 2 and 4
-// workers against both the brute-force oracle and 1-worker (which
-// delegates to the sequential ICB): identical execution counts, coverage,
+// workers against both the brute-force oracle and one worker (the ICB
+// strategy): identical execution counts, coverage,
 // exhaustion and fine-grained bug sets regardless of worker count, and —
 // against the oracle — the exact bug set with each defect first sighted at
 // its true minimal preemption count.
@@ -621,6 +627,158 @@ func (c *checker) compareReduced(prop, name string, res, icbRes *core.Result, pl
 			c.fail(prop, fmt.Sprintf("%s missed bug [%v]", name, id), p.Schedule)
 		}
 	}
+}
+
+// checkResume cross-checks interrupt-and-resume, plain and with BPOR and
+// the work-item table, at one and two workers (see resumeLeg).
+func (c *checker) checkResume() {
+	for _, reduced := range []bool{false, true} {
+		opt := c.baseOpts()
+		opt.BPOR, opt.StateCache = reduced, reduced
+		c.resumeLeg(core.ICB{}, opt, true)
+		c.resumeLeg(core.ParallelICB{Workers: 2}, opt, false)
+	}
+}
+
+// resumeLeg stops the unbounded search s after a seed-derived number of
+// executions n (1 <= n < the uninterrupted count), round-trips its final
+// snapshot through JSON and resumes it. The two lives together must
+// reproduce the uninterrupted run: exactly, durations aside, when exact
+// (one worker); otherwise in every fact that does not depend on the order
+// the workers ran executions in.
+func (c *checker) resumeLeg(s core.Strategy, opt core.Options, exact bool) {
+	const prop = "resume"
+	name := s.Name()
+	if opt.BPOR {
+		name += " (bpor+cache)"
+	}
+	prog := c.spec.Program(nil) // workers run the program concurrently: no shared sink cell
+	ref := c.explore(prog, s, opt, prop)
+	if ref == nil || !ref.Exhausted || ref.Executions < 2 {
+		return
+	}
+	n := 1 + int(splitmix(uint64(c.spec.Seed))%uint64(ref.Executions-1))
+	stop := new(atomic.Bool)
+	snap := &finalSnapshot{}
+	iopt := opt
+	iopt.Stop = stop
+	iopt.Sink = &stopAfter{n: int64(n), stop: stop}
+	iopt.Checkpoint = snap
+	if c.explore(prog, s, iopt, prop) == nil {
+		return
+	}
+	var st core.SearchState
+	if err := json.Unmarshal(snap.js, &st); err != nil {
+		c.fail(prop, fmt.Sprintf("%s stopped after %d executions left no readable snapshot: %v", name, n, err), nil)
+		return
+	}
+	ropt := opt
+	ropt.Resume = &st
+	if err := core.ValidateResume(&st, ropt); err != nil {
+		c.fail(prop, fmt.Sprintf("%s: snapshot after %d executions rejected: %v", name, n, err), nil)
+		return
+	}
+	got := c.explore(prog, s, ropt, prop)
+	if got == nil {
+		return
+	}
+	if exact {
+		if diff := resultDiff(zeroDurations(*got), zeroDurations(*ref)); diff != "" {
+			c.fail(prop, fmt.Sprintf("%s resumed after %d executions differs from the uninterrupted run: %s", name, n, diff), nil)
+		}
+		return
+	}
+	// With the work-item table and BPOR on, which equivalent execution
+	// claims an entry and the registration order vary with the workers'
+	// interleaving, and so do execution and state counts, the completed
+	// bound and the race a racy program reports. The plain drain's counts
+	// are order-independent (DESIGN.md §10).
+	facts := func(r *core.Result) string {
+		var bugs []string
+		racy := false
+		for _, b := range r.Bugs {
+			if opt.StateCache && b.Kind == core.BugRace {
+				racy = true
+				continue
+			}
+			bugs = append(bugs, fmt.Sprintf("%v|%s|p=%d", b.Kind, b.Message, b.Preemptions))
+		}
+		sort.Strings(bugs)
+		f := fmt.Sprintf("classes=%d exhausted=%v racy=%v bugs=%q", r.ExecutionClasses, r.Exhausted, racy, bugs)
+		if !opt.StateCache {
+			f += fmt.Sprintf(" executions=%d states=%d bound=%d", r.Executions, r.States, r.BoundCompleted)
+		}
+		return f
+	}
+	if a, b := facts(got), facts(ref); a != b {
+		c.fail(prop, fmt.Sprintf("%s resumed after %d executions: %s, uninterrupted %s", name, n, a, b), nil)
+	}
+}
+
+// zeroDurations clears a Result's wall-clock fields, the only ones a
+// resumed search may legitimately differ in.
+func zeroDurations(r core.Result) core.Result {
+	r.Duration = 0
+	r.BoundStats = append([]core.BoundStat(nil), r.BoundStats...)
+	for i := range r.BoundStats {
+		r.BoundStats[i].Duration = 0
+	}
+	return r
+}
+
+// resultDiff names the Result fields in which got and want differ, with
+// both values, or returns "" when they are identical.
+func resultDiff(got, want core.Result) string {
+	var diffs []string
+	g, w := reflect.ValueOf(got), reflect.ValueOf(want)
+	for i := 0; i < g.NumField(); i++ {
+		if !reflect.DeepEqual(g.Field(i).Interface(), w.Field(i).Interface()) {
+			diffs = append(diffs, fmt.Sprintf("%s %+v, want %+v", g.Type().Field(i).Name, g.Field(i), w.Field(i)))
+		}
+	}
+	return strings.Join(diffs, "; ")
+}
+
+// splitmix is the SplitMix64 finalizer: it spreads consecutive seeds over
+// the stop points of a resume leg.
+func splitmix(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// stopAfter raises the search's stop flag once n executions have run.
+type stopAfter struct {
+	obs.Nop
+	n    int64
+	seen atomic.Int64
+	stop *atomic.Bool
+}
+
+// ExecutionDone implements obs.Sink; parallel workers call it concurrently.
+func (s *stopAfter) ExecutionDone(obs.ExecutionEvent) {
+	if s.seen.Add(1) == s.n {
+		s.stop.Store(true)
+	}
+}
+
+// finalSnapshot keeps the JSON of the last final snapshot a search takes.
+type finalSnapshot struct{ js []byte }
+
+// Due implements core.CheckpointSink: no periodic snapshots.
+func (f *finalSnapshot) Due() bool { return false }
+
+// Capture implements core.CheckpointSink.
+func (f *finalSnapshot) Capture(st *core.SearchState, final bool) {
+	if !final {
+		return
+	}
+	js, err := json.Marshal(st)
+	if err != nil {
+		panic(err)
+	}
+	f.js = js
 }
 
 // checkReplayAndMinimize verifies that every recorded buggy schedule

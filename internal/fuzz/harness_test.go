@@ -323,3 +323,48 @@ func TestInjectedFaultCaught(t *testing.T) {
 		t.Fatal("no drop position perturbed the window bug; the fault injection is not exercising bug coverage")
 	}
 }
+
+// droppingResume is a deliberately faulty resume: it loses the first item
+// of the snapshot's current-bound queue before the search continues, so
+// one subtree of the interrupted bound is never explored.
+type droppingResume struct{ core.ICB }
+
+func (d droppingResume) Explore(e *core.Engine) {
+	if st := e.Options().Resume; st != nil && len(st.SeedQueue) > 0 {
+		st.SeedQueue = st.SeedQueue[1:]
+	}
+	d.ICB.Explore(e)
+}
+
+// TestInjectedResumeFaultCaught shows the resume leg has teeth: a resume
+// that drops one queued item must be reported, while the real resume
+// stays clean at the same stop points.
+func TestInjectedResumeFaultCaught(t *testing.T) {
+	caught := 0
+	for seed := int64(0); seed < 6; seed++ {
+		spec := windowSpec()
+		spec.Seed = seed // moves the leg's stop point
+		truth, err := ComputeTruth(spec, Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lim := Limits{}
+		lim.fill()
+		control := &checker{spec: spec, truth: truth, lim: lim}
+		control.resumeLeg(core.ICB{}, control.baseOpts(), true)
+		if len(control.discs) != 0 {
+			t.Fatalf("seed %d: control: real resume flagged: %v", seed, control.discs)
+		}
+		faulty := &checker{spec: spec, truth: truth, lim: lim}
+		faulty.resumeLeg(droppingResume{}, faulty.baseOpts(), true)
+		for _, d := range faulty.discs {
+			t.Logf("seed %d: %s", seed, d)
+			if d.Property == "resume" {
+				caught++
+			}
+		}
+	}
+	if caught == 0 {
+		t.Fatal("no stop point caught a resume that drops a queued item: the resume leg is blind")
+	}
+}

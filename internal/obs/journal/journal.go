@@ -135,18 +135,18 @@ type Checkpoint struct {
 }
 
 // Completed reports that the snapshot describes a finished search: either
-// nothing remains to explore, or what remains (the end-of-budget
+// it exhausted the schedule space, or what remains (the end-of-budget
 // snapshot's next-bound queue) is unreachable under the stored
 // configuration's bound. Resuming a completed campaign is a no-op; raising
-// the bound (a different config) starts a fresh campaign instead.
+// the bound (a different config) starts a fresh campaign instead. A
+// snapshot whose queues are empty is not necessarily complete: a stop
+// right after a bound's last execution leaves the bound to retire, and
+// items deferred two bounds ahead or held sightings may remain.
 func (c *Checkpoint) Completed() bool {
 	if !c.Final {
 		return false
 	}
-	if len(c.State.SeedQueue) == 0 && len(c.State.NextWork) == 0 {
-		return true
-	}
-	return c.Meta.MaxBound >= 0 && c.State.Bound > c.Meta.MaxBound
+	return c.State.Result.Exhausted || c.Meta.MaxBound >= 0 && c.State.Bound > c.Meta.MaxBound
 }
 
 // Save writes the checkpoint atomically to path: marshal, write to a

@@ -2,6 +2,9 @@ package journal
 
 import (
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strconv"
@@ -11,6 +14,7 @@ import (
 	"icb/internal/core"
 	"icb/internal/exper"
 	"icb/internal/obs"
+	"icb/internal/progs/wsq"
 	"icb/internal/sched"
 )
 
@@ -34,9 +38,11 @@ func wsqStealUnlocked(t *testing.T) sched.Program {
 type capSink struct {
 	snaps  [][]byte
 	finals []bool
+	// stopsOnly turns the periodic snapshots off.
+	stopsOnly bool
 }
 
-func (c *capSink) Due() bool { return true }
+func (c *capSink) Due() bool { return !c.stopsOnly }
 
 func (c *capSink) Capture(st *core.SearchState, final bool) {
 	js, err := json.Marshal(st)
@@ -296,7 +302,7 @@ func TestParallelResumeEveryBoundary(t *testing.T) {
 		}
 		ropt := wsqOptions()
 		ropt.Resume = &st
-		if err := core.ValidateResumeWorkers(&st, par.NumWorkers()); err != nil {
+		if err := core.ValidateResume(&st, ropt); err != nil {
 			t.Fatalf("n=%d: snapshot rejected: %v", n, err)
 		}
 		got := core.Explore(prog, par, ropt)
@@ -349,16 +355,135 @@ func TestValidateResumeRejections(t *testing.T) {
 	if err := core.ValidateResume(&core.SearchState{Bound: 1, Scheduler: "ws/99"}, opt); err == nil {
 		t.Error("unknown scheduler version accepted")
 	}
-	if err := core.ValidateResumeWorkers(&core.SearchState{Bound: 1, Scheduler: core.SchedulerWS}, 1); err == nil {
-		t.Error("work-stealing snapshot accepted by a sequential resume")
+	for _, tag := range []string{core.SchedulerWS, "ws/1", ""} {
+		if err := core.ValidateResume(&core.SearchState{Bound: 1, Scheduler: tag}, opt); err != nil {
+			t.Errorf("snapshot format %q rejected: %v", tag, err)
+		}
 	}
-	if err := core.ValidateResumeWorkers(&core.SearchState{Bound: 1}, 4); err == nil {
-		t.Error("sequential snapshot accepted by a parallel resume")
+	st = &core.SearchState{Bound: 1, BoundStartExecs: 8, EarlyExecs: 3, Result: core.Result{Executions: 10}}
+	if err := core.ValidateResume(st, opt); err == nil {
+		t.Error("snapshot attributing more executions than it ran accepted")
 	}
-	if err := core.ValidateResumeWorkers(&core.SearchState{Bound: 1, Scheduler: core.SchedulerWS}, 4); err != nil {
-		t.Errorf("matching work-stealing resume rejected: %v", err)
+}
+
+// orderFree projects a Result onto the facts that do not depend on the
+// order a search ran its executions in (no state caching, no BPOR): the
+// bug set with minimal preemption and sighting counts, executions, states,
+// classes, the completed bound, exhaustion and per-bound executions.
+func orderFree(res core.Result) string {
+	var bugs []string
+	for _, b := range res.Bugs {
+		bugs = append(bugs, fmt.Sprintf("%s|%s|p=%d|n=%d", b.Kind, b.Message, b.Preemptions, b.Count))
 	}
-	if err := core.ValidateResumeWorkers(&core.SearchState{Bound: 1}, 1); err != nil {
-		t.Errorf("matching sequential resume rejected: %v", err)
+	sort.Strings(bugs)
+	var bounds []int
+	for _, bc := range res.BoundCurve {
+		bounds = append(bounds, bc.Executions)
+	}
+	return fmt.Sprintf("bugs=%q executions=%d states=%d classes=%d bound=%d exhausted=%v per-bound=%v",
+		bugs, res.Executions, res.States, res.ExecutionClasses, res.BoundCompleted, res.Exhausted, bounds)
+}
+
+// resumeFrom round-trips js into a snapshot and resumes s from it.
+func resumeFrom(t *testing.T, prog sched.Program, s core.Strategy, js []byte) core.Result {
+	t.Helper()
+	var st core.SearchState
+	if err := json.Unmarshal(js, &st); err != nil {
+		t.Fatalf("snapshot does not round-trip: %v", err)
+	}
+	opt := wsqOptions()
+	opt.Resume = &st
+	if err := core.ValidateResume(&st, opt); err != nil {
+		t.Fatalf("snapshot rejected: %v", err)
+	}
+	return core.Explore(prog, s, opt)
+}
+
+// TestParallelResumeAcrossWorkerCounts: every worker count writes the same
+// snapshot, so a snapshot taken at one worker resumes at two and one taken
+// at two resumes at one, both to the uninterrupted run's order-free facts.
+func TestParallelResumeAcrossWorkerCounts(t *testing.T) {
+	prog := wsqStealUnlocked(t)
+	one, two := core.ICB{}, core.ParallelICB{Workers: 2}
+	cs := &capSink{}
+	opt := wsqOptions()
+	opt.Checkpoint = cs
+	ref := core.Explore(prog, one, opt)
+	want := orderFree(ref)
+	for i := 0; i < len(cs.snaps); i += 7 {
+		if got := orderFree(resumeFrom(t, prog, two, cs.snaps[i])); got != want {
+			t.Fatalf("one-worker snapshot %d resumed at two workers: %s, want %s", i, got, want)
+		}
+	}
+	for n := 1; n < ref.Executions; n += 9 {
+		cs := &capSink{stopsOnly: true}
+		stop := &atomic.Bool{}
+		opt := wsqOptions()
+		opt.Checkpoint = cs
+		opt.Stop = stop
+		opt.Sink = &stopAfter{n: n, stop: stop}
+		core.Explore(prog, two, opt)
+		if got := orderFree(resumeFrom(t, prog, one, cs.snaps[len(cs.snaps)-1])); got != want {
+			t.Fatalf("two-worker snapshot after %d executions resumed at one worker: %s, want %s", n, got, want)
+		}
+	}
+}
+
+// TestParallelResumeMidBoundCheckpoints: a multi-worker search takes a due
+// checkpoint mid-bound, not only at bound barriers and at a stop, and each
+// of those snapshots resumes to the uninterrupted run's order-free facts.
+func TestParallelResumeMidBoundCheckpoints(t *testing.T) {
+	prog := wsqStealUnlocked(t)
+	par := core.ParallelICB{Workers: 2}
+	cs := &capSink{}
+	opt := wsqOptions()
+	opt.Checkpoint = cs
+	ref := core.Explore(prog, par, opt)
+	periodic := 0
+	for _, final := range cs.finals {
+		if !final {
+			periodic++
+		}
+	}
+	// Without mid-bound snapshots there would be one per bound begun.
+	if periodic <= len(ref.BoundStats) {
+		t.Fatalf("%d non-final snapshots over %d bounds and %d executions: no mid-bound checkpoint",
+			periodic, len(ref.BoundStats), ref.Executions)
+	}
+	want := orderFree(ref)
+	for i := 0; i < len(cs.snaps); i += 9 {
+		if got := orderFree(resumeFrom(t, prog, par, cs.snaps[i])); got != want {
+			t.Fatalf("snapshot %d of %d: %s, want %s", i, len(cs.snaps), got, want)
+		}
+	}
+}
+
+// TestResumeEarlierSnapshotFormats resumes snapshots in the two formats
+// earlier versions wrote, each stopped in bound 1 of the tiny
+// work-stealing queue's bound-2 search: testdata/snapshot-sequential.json
+// (untagged) from the sequential search after 10 executions, and
+// testdata/snapshot-ws1.json (tagged "ws/1") from the two-worker
+// work-stealing search after 9. A sequential snapshot is a one-worker
+// frontier with nothing held and nothing deferred two bounds ahead, so it
+// resumes exactly at one worker; both resume to the uninterrupted run's
+// order-free facts at one and at two workers.
+func TestResumeEarlierSnapshotFormats(t *testing.T) {
+	prog := wsq.Program(wsq.StealUnlocked, wsq.Params{Items: 2, Size: 2})
+	ref := core.Explore(prog, core.ICB{}, wsqOptions())
+	want := orderFree(ref)
+	for _, name := range []string{"snapshot-sequential.json", "snapshot-ws1.json"} {
+		js, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []core.Strategy{core.ICB{}, core.ParallelICB{Workers: 2}} {
+			got := resumeFrom(t, prog, s, js)
+			if of := orderFree(got); of != want {
+				t.Errorf("%s resumed by %s: %s, want %s", name, s.Name(), of, want)
+			}
+			if name == "snapshot-sequential.json" && s.Name() == "icb" && !reflect.DeepEqual(normalize(got), normalize(ref)) {
+				t.Errorf("%s resumed at one worker: %+v, want %+v", name, normalize(got), normalize(ref))
+			}
+		}
 	}
 }

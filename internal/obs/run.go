@@ -105,14 +105,13 @@ type CheckpointEvent struct {
 	// current-bound seeds and deferred next-bound items.
 	SeedQueue int `json:"seed_queue"`
 	NextWork  int `json:"next_work,omitempty"`
-	// Scheduler identifies the scheduler that wrote the snapshot when it
-	// is not the sequential default (v6: "ws/1" for the work-stealing
-	// parallel search; a ws snapshot only resumes under -workers > 1).
+	// Scheduler tags the snapshot format (v6; "ws/2" since every worker
+	// count writes the same snapshot and resumes any other's).
 	Scheduler string `json:"scheduler,omitempty"`
-	// NextWork2 and HeldBugs are the work-stealing search's extra in-flight
-	// state (v6): items already deferred two bounds ahead by early
+	// NextWork2 and HeldBugs are the rest of a multi-worker search's
+	// frontier (v6): items already deferred two bounds ahead by early
 	// next-bound executions, and fresh bug sightings held back until their
-	// bound retires. Both 0 on sequential snapshots.
+	// bound retires. Both 0 at one worker.
 	NextWork2 int `json:"next_work2,omitempty"`
 	HeldBugs  int `json:"held_bugs,omitempty"`
 	// Final marks the run's last snapshot (stop, budget, completion).
@@ -129,9 +128,12 @@ type ResumeEvent struct {
 	Bound      int `json:"bound"`
 	Executions int `json:"executions"`
 	Bugs       int `json:"bugs,omitempty"`
-	// SeedQueue and NextWork are the restored frontier sizes.
+	// SeedQueue, NextWork, NextWork2 and HeldBugs are the restored
+	// frontier sizes, as in CheckpointEvent.
 	SeedQueue int `json:"seed_queue"`
 	NextWork  int `json:"next_work,omitempty"`
+	NextWork2 int `json:"next_work2,omitempty"`
+	HeldBugs  int `json:"held_bugs,omitempty"`
 }
 
 // RunEvent carries a finished run's ledger record.
